@@ -15,34 +15,28 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use led::{
-    Condition, CouplingMode, Detector, Firing, Occurrence, Param, ParameterContext, RuleSpec,
-};
+use led::{CouplingMode, Detector, Firing, Occurrence, Param, ParameterContext};
 use relsql::ast::TriggerOp;
 use relsql::notify::{ChannelSink, ChaosSink, Datagram, FaultPlan, NotificationSink};
 use relsql::sync::channel::Receiver;
 use relsql::sync::Mutex;
-use relsql::{BatchResult, Metrics, SessionCtx, SqlServer};
+use relsql::{BatchResult, DbSnapshot, Metrics, SessionCtx, SqlServer};
 
 use crate::action::{
     ActionHandler, ActionOutcome, ActionRequest, DeadLetter, FaultInjector, RetryPolicy,
 };
 use crate::codegen;
-use crate::eca_parser::{parse_eca, EcaCommand, TriggerClauses};
+use crate::define::{self, Direction, Entry};
+use crate::eca_parser::{parse_eca, EcaCommand};
 use crate::error::{AgentError, Result};
 use crate::filter::{classify, contains_commit, Classification};
 use crate::gateway::Gateway;
 use crate::naming;
 use crate::notifier;
 use crate::persist::PersistentManager;
-use crate::registry::{
-    CompositeEventInfo, PrimitiveEventInfo, Registry, ShadowKind, TriggerInfo, TriggerKind,
-};
+use crate::registry::{CompositeEventInfo, PrimitiveEventInfo, Registry, TriggerInfo, TriggerKind};
 use crate::reliability::{Admission, ReliabilityTracker};
-use crate::saga::{
-    persist_saga_steps_sql, plan_from_journal, SagaCrashHook, SagaJournalRow, SagaPlan, SagaSpec,
-    SagaStep,
-};
+use crate::saga::{plan_from_journal, SagaCrashHook, SagaJournalRow, SagaPlan, SagaSpec, SagaStep};
 
 /// Agent configuration.
 ///
@@ -283,6 +277,8 @@ struct Inner {
     draining: std::sync::atomic::AtomicBool,
     /// Outcomes produced on the notifier thread, for later collection.
     async_outcomes: Mutex<Vec<ActionOutcome>>,
+    /// Serializes ECA commands from plan to activation.
+    define_lock: Mutex<()>,
     counters: AgentCounters,
     /// Last observed value of the combined loss signal (engine rollbacks +
     /// channel overflows + malformed datagrams + chaos faults). The
@@ -344,6 +340,7 @@ impl EcaAgent {
                 notifier_stop: std::sync::atomic::AtomicBool::new(false),
                 draining: std::sync::atomic::AtomicBool::new(false),
                 async_outcomes: Mutex::new(Vec::new()),
+                define_lock: Mutex::new(()),
                 counters: AgentCounters::default(),
                 last_loss_signal: AtomicU64::new(0),
             }),
@@ -526,112 +523,107 @@ impl EcaAgent {
 
     // ----------------------------------------------------------- recovery
 
+    /// Persistent Manager recovery (Figure 8): decode every persisted
+    /// rule, register it through the same path a fresh definition takes,
+    /// then regenerate any native trigger that disagrees with the catalog —
+    /// the only trace a crash between a definition's commit and its
+    /// activation (or a drop's deactivation and its commit) can leave.
     fn recover(&self) -> Result<()> {
         let primitives = self.inner.persist.load_primitives()?;
         let composites = self.inner.persist.load_composites()?;
         let triggers = self.inner.persist.load_triggers()?;
         let mut saga_steps = self.inner.persist.load_saga_steps()?;
-        // Validate the enum columns up front: a corrupted system-table row
-        // must fail recovery loudly, not silently fall back to the default
-        // coupling/context and change rule semantics.
-        for c in &composites {
-            parse_recovered_context(&c.context, "SysCompositeEvent", &c.event)?;
-        }
-        for t in &triggers {
-            parse_recovered_coupling(&t.coupling, &t.name)?;
-            parse_recovered_context(&t.context, "SysEcaTrigger", &t.name)?;
-        }
-        let mut led = self.inner.led.lock();
-        let mut registry = self.inner.registry.lock();
-        for p in &primitives {
-            let op = TriggerOp::parse(&p.operation).ok_or_else(|| {
-                AgentError::Recovery(format!("bad operation '{}' for '{}'", p.operation, p.event))
-            })?;
-            let table_key = self
-                .resolve_table(&p.table, &SessionCtx::new(&p.db, &p.user))
-                .unwrap_or_else(|_| p.table.clone());
-            let info = PrimitiveEventInfo {
-                name: p.event.clone(),
-                table: table_key,
-                operation: op,
-                shadow_inserted: naming::shadow_inserted(&p.event),
-                shadow_deleted: naming::shadow_deleted(&p.event),
-                version_table: naming::version_table(&p.event),
-            };
-            led.define_primitive(&p.event)
-                .map_err(|e| AgentError::Recovery(e.to_string()))?;
-            registry.add_primitive(info)?;
-        }
-        // Composites may reference each other; iterate to a fixpoint.
-        let mut pending: Vec<&crate::persist::PersistedComposite> = composites.iter().collect();
+        // Decode the enum columns strictly, before registering anything: a
+        // corrupted system-table row must fail recovery loudly, not
+        // silently fall back to the default coupling/context and change
+        // rule semantics.
+        let mut pending = composites
+            .iter()
+            .map(|c| {
+                Ok(CompositeEventInfo {
+                    name: c.event.clone(),
+                    expr_src: c.expr_src.clone(),
+                    context: parse_recovered_context(&c.context, "SysCompositeEvent", &c.event)?,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let triggers = triggers
+            .into_iter()
+            .map(|t| {
+                let saga = saga_steps.remove(&t.name).map(|steps| {
+                    Arc::new(SagaSpec {
+                        steps: steps
+                            .into_iter()
+                            .map(|s| SagaStep {
+                                proc: s.step_proc,
+                                compensation: s.comp_proc,
+                            })
+                            .collect(),
+                    })
+                });
+                Ok(Entry::Trigger(TriggerInfo {
+                    coupling: parse_recovered_coupling(&t.coupling, &t.name)?,
+                    context: parse_recovered_context(&t.context, "SysEcaTrigger", &t.name)?,
+                    kind: if t.kind.trim() == "native" {
+                        TriggerKind::Native
+                    } else {
+                        TriggerKind::Led
+                    },
+                    name: t.name,
+                    event: t.event,
+                    proc_name: t.proc_name,
+                    priority: t.priority,
+                    saga,
+                }))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let snap = self.server().snapshot();
+        let primitives = primitives
+            .iter()
+            .map(|p| {
+                let op = TriggerOp::parse(&p.operation).ok_or_else(|| {
+                    AgentError::Recovery(format!(
+                        "bad operation '{}' for '{}'",
+                        p.operation, p.event
+                    ))
+                })?;
+                let table = snap
+                    .database()
+                    .resolve_table_key(&p.table, Some((&p.db, &p.user)))
+                    .unwrap_or_else(|| p.table.clone());
+                Ok(Entry::Primitive(PrimitiveEventInfo::new(
+                    &p.event, &p.db, &p.user, &p.table, &table, op,
+                )))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let recovered = |e: AgentError| AgentError::Recovery(e.to_string());
+        self.registration(&primitives, define::register)
+            .map_err(recovered)?;
+        // Composites may reference each other; register to a fixpoint.
         while !pending.is_empty() {
-            let before = pending.len();
-            pending.retain(|c| {
-                let expr = match snoop::parse(&c.expr_src) {
-                    Ok(e) => e,
-                    Err(_) => return true, // reported below
-                };
-                if expr.references().iter().all(|r| led.has_event(&r.key())) {
-                    // Validated above; the parse cannot fail here.
-                    let ctx: ParameterContext = c.context.parse().unwrap_or_default();
-                    if led.define_composite(&c.event, &expr, ctx).is_ok() {
-                        let _ = registry.add_composite(CompositeEventInfo {
-                            name: c.event.clone(),
-                            expr_src: c.expr_src.clone(),
-                            context: ctx,
-                        });
-                        return false;
-                    }
-                }
-                true
-            });
-            if pending.len() == before {
+            let (ready, rest): (Vec<_>, Vec<_>) = {
+                let led = self.inner.led.lock();
+                pending.into_iter().partition(|c| {
+                    snoop::parse(&c.expr_src)
+                        .is_ok_and(|e| e.references().iter().all(|r| led.has_event(&r.key())))
+                })
+            };
+            if ready.is_empty() {
                 return Err(AgentError::Recovery(format!(
                     "unresolvable composite events: {:?}",
-                    pending.iter().map(|c| c.event.as_str()).collect::<Vec<_>>()
+                    rest.iter().map(|c| c.name.as_str()).collect::<Vec<_>>()
                 )));
             }
+            let ready: Vec<Entry> = ready.into_iter().map(Entry::Composite).collect();
+            self.registration(&ready, define::register)
+                .map_err(recovered)?;
+            pending = rest;
         }
-        for t in &triggers {
-            let coupling = parse_recovered_coupling(&t.coupling, &t.name)?;
-            let context = parse_recovered_context(&t.context, "SysEcaTrigger", &t.name)?;
-            let kind = if t.kind.trim() == "native" {
-                TriggerKind::Native
-            } else {
-                TriggerKind::Led
-            };
-            if kind == TriggerKind::Led {
-                led.add_rule(
-                    RuleSpec::new(&t.name, &t.event)
-                        .with_coupling(coupling)
-                        .with_priority(t.priority)
-                        .with_condition(Condition::Always),
-                )
-                .map_err(|e| AgentError::Recovery(e.to_string()))?;
-            }
-            let saga = saga_steps.remove(&t.name).map(|steps| {
-                Arc::new(SagaSpec {
-                    steps: steps
-                        .into_iter()
-                        .map(|s| SagaStep {
-                            proc: s.step_proc,
-                            compensation: s.comp_proc,
-                        })
-                        .collect(),
-                })
-            });
-            registry.add_trigger(TriggerInfo {
-                name: t.name.clone(),
-                event: t.event.clone(),
-                proc_name: t.proc_name.clone(),
-                kind,
-                coupling,
-                context,
-                priority: t.priority,
-                saga,
-            })?;
-        }
-        Ok(())
+        self.registration(&triggers, define::register)
+            .map_err(recovered)?;
+        let events: Vec<PrimitiveEventInfo> =
+            self.inner.registry.lock().primitives().cloned().collect();
+        self.sync_native_triggers(&snap, &events)
     }
 
     /// Re-seed the in-memory dead-letter queue from `SysDeadLetter` so
@@ -1167,682 +1159,26 @@ impl EcaAgent {
         Ok(())
     }
 
-    // ----------------------------------------------------- helper lookups
+    // ------------------------------------------------ rule definitions
 
-    fn resolve_table(&self, name: &str, ctx: &SessionCtx) -> Result<String> {
-        self.server()
-            .snapshot()
-            .database()
-            .resolve_table_key(name, Some((&ctx.database, &ctx.user)))
-            .ok_or_else(|| AgentError::Naming(format!("table '{name}' does not exist")))
-    }
-
-    fn has_server_table(&self, name: &str) -> bool {
-        self.server().snapshot().database().has_table(name)
-    }
-
-    /// Every step and compensation procedure of a saga must already exist
-    /// in the server — a saga declaration never creates procedures, so a
-    /// typo would otherwise surface only at firing time.
-    fn validate_saga_procs(&self, spec: &SagaSpec) -> Result<()> {
-        let snap = self.server().snapshot();
-        for step in &spec.steps {
-            for proc in std::iter::once(&step.proc).chain(step.compensation.as_ref()) {
-                let found = snap.database().procedure(proc, None).is_some();
-                if !found {
-                    return Err(AgentError::Naming(format!(
-                        "saga step procedure '{proc}' does not exist"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolve an event reference: try the §5.1 expansion first, then the
-    /// name as written (it may already be internal).
-    fn resolve_event(&self, name: &str, ctx: &SessionCtx) -> Result<String> {
-        let registry = self.inner.registry.lock();
-        let expanded = naming::internal(ctx, name);
-        if registry.has_event(&expanded) {
-            return Ok(expanded);
-        }
-        if registry.has_event(name) {
-            return Ok(name.to_string());
-        }
-        Err(AgentError::Naming(format!("unknown event '{name}'")))
-    }
-
-    // --------------------------------------------------------- ECA create
-
+    /// Plan an ECA command against the current registry, detector and
+    /// catalog, then apply the plan (see [`crate::define`]). Commands are
+    /// serialized so no plan is computed against state another command
+    /// is about to change.
     fn handle_eca(&self, sql: &str, ctx: &SessionCtx) -> Result<AgentResponse> {
         self.inner
             .counters
             .eca_commands
             .fetch_add(1, Ordering::Relaxed);
-        match parse_eca(sql)? {
-            EcaCommand::CreatePrimitive {
-                trigger,
-                table,
-                operation,
-                event,
-                clauses,
-                action,
-            } => self.create_primitive(ctx, &trigger, &table, operation, &event, &clauses, &action),
-            EcaCommand::CreateOnExisting {
-                trigger,
-                event,
-                clauses,
-                action,
-            } => self.create_on_existing(ctx, &trigger, &event, &clauses, &action),
-            EcaCommand::CreateComposite {
-                trigger,
-                event,
-                expr_src,
-                clauses,
-                action,
-            } => self.create_composite(ctx, &trigger, &event, &expr_src, &clauses, &action),
-            EcaCommand::DropTrigger { trigger } => self.drop_trigger(ctx, &trigger),
-            EcaCommand::DropEvent { event } => self.drop_event(ctx, &event),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn create_primitive(
-        &self,
-        ctx: &SessionCtx,
-        trigger: &str,
-        table: &str,
-        operation: TriggerOp,
-        event: &str,
-        clauses: &TriggerClauses,
-        action: &str,
-    ) -> Result<AgentResponse> {
-        let trigger_i = naming::internal(ctx, trigger);
-        let event_i = naming::internal(ctx, event);
-        let table_key = self.resolve_table(table, ctx)?;
-        {
-            let registry = self.inner.registry.lock();
-            if registry.has_event(&event_i) {
-                return Err(AgentError::Naming(format!(
-                    "event '{event_i}' already exists — use the ON-EVENT form to reuse it"
-                )));
-            }
-            if registry.trigger(&trigger_i).is_some() {
-                return Err(AgentError::Naming(format!(
-                    "trigger '{trigger_i}' already exists"
-                )));
-            }
-            if let Some(existing) = registry.primitive_for_slot(&table_key, operation) {
-                return Err(AgentError::Naming(format!(
-                    "event '{}' already watches {operation} on '{table}' — reuse it",
-                    existing.name
-                )));
-            }
-        }
-        let info = PrimitiveEventInfo {
-            name: event_i.clone(),
-            table: table_key.clone(),
-            operation,
-            shadow_inserted: naming::shadow_inserted(&event_i),
-            shadow_deleted: naming::shadow_deleted(&event_i),
-            version_table: naming::version_table(&event_i),
-        };
-        // Saga action bodies declare step/compensation procedures instead of
-        // inline SQL: no action procedure is generated, and the trigger is
-        // always LED-routed (the agent must journal each step).
-        let saga_spec = SagaSpec::parse_action(action, &|n| naming::internal(ctx, n))?;
-        if let Some(spec) = &saga_spec {
-            self.validate_saga_procs(spec)?;
-        }
-        let proc_name = if saga_spec.is_some() {
-            String::new()
-        } else {
-            naming::action_proc(&trigger_i)
-        };
-        // Rewrite TableName.inserted/.deleted context accessors.
-        let (rewritten, refs) = if saga_spec.is_some() {
-            (String::new(), Vec::new())
-        } else {
-            codegen::rewrite_context_refs(action, |t| {
-                self.resolve_table(t, ctx)
-                    .unwrap_or_else(|_| naming::internal(ctx, t))
-            })
-        };
-        // --- install in the server (Figure 3 step 5), via the gateway.
-        // On any failure, roll the already-installed artifacts back so the
-        // command can be retried after the user fixes it.
-        let kind = if saga_spec.is_none() && clauses.coupling == CouplingMode::Immediate {
-            TriggerKind::Native
-        } else {
-            TriggerKind::Led
-        };
-        let install = (|| -> Result<()> {
-            self.inner
-                .gateway
-                .internal(&codegen::primitive_event_setup(&info, table), ctx)?;
-            if saga_spec.is_none() {
-                for r in &refs {
-                    self.ensure_tmp_table(r, &info, ctx)?;
-                }
-                self.inner.gateway.internal(
-                    &codegen::native_action_proc(&proc_name, &info, &refs, &rewritten),
-                    ctx,
-                )?;
-            }
-            let immediate_procs = if kind == TriggerKind::Native {
-                vec![proc_name.clone()]
-            } else {
-                Vec::new()
-            };
-            self.inner.gateway.internal(
-                &codegen::native_trigger_sql(
-                    &info,
-                    table,
-                    &ctx.user,
-                    &self.inner.config.notify_host,
-                    self.inner.config.notify_port,
-                    &immediate_procs,
-                ),
-                ctx,
-            )?;
-            Ok(())
-        })();
-        if let Err(e) = install {
-            // Best-effort cleanup; each artifact may or may not exist.
-            for sql in [
-                format!("drop trigger {}", naming::native_trigger(&info.name)),
-                format!("drop procedure {proc_name}"),
-                format!("drop table {}", info.shadow_inserted),
-                format!("drop table {}", info.shadow_deleted),
-                format!("drop table {}", info.version_table),
-            ] {
-                let _ = self.inner.gateway.internal(&sql, ctx);
-            }
-            return Err(e);
-        }
-        // --- persist (Figure 3 step 7).
-        self.inner.persist.run(&codegen::persist_primitive_sql(
-            &ctx.database,
-            &ctx.user,
-            &info,
-            table,
-        ))?;
-        self.inner.persist.run(&codegen::persist_trigger_sql(
-            &ctx.database,
-            &ctx.user,
-            &trigger_i,
-            &proc_name,
-            &event_i,
-            clauses.coupling.as_str(),
-            clauses.context.as_str(),
-            clauses.priority,
-            if kind == TriggerKind::Native {
-                "native"
-            } else {
-                "led"
-            },
-        ))?;
-        if let Some(spec) = &saga_spec {
-            self.inner
-                .persist
-                .run(&persist_saga_steps_sql(&trigger_i, spec))?;
-        }
-        // A fresh event starts with watermark 0 (no occurrences raised).
-        self.inner.persist.save_watermark(&event_i, 0)?;
-        self.inner.tracker.lock().seed_event(&event_i, 0);
-        // --- register in the LED and registry.
-        {
-            let mut led = self.inner.led.lock();
-            led.define_primitive(&event_i)?;
-            if kind == TriggerKind::Led {
-                led.add_rule(
-                    RuleSpec::new(&trigger_i, &event_i)
-                        .with_coupling(clauses.coupling)
-                        .with_priority(clauses.priority),
-                )?;
-            }
-        }
-        {
-            let mut registry = self.inner.registry.lock();
-            registry.add_primitive(info)?;
-            registry.add_trigger(TriggerInfo {
-                name: trigger_i.clone(),
-                event: event_i.clone(),
-                proc_name,
-                kind,
-                coupling: clauses.coupling,
-                context: clauses.context,
-                priority: clauses.priority,
-                saga: saga_spec.map(Arc::new),
-            })?;
-        }
-        let mut resp = AgentResponse::default();
-        resp.messages
-            .push(format!("primitive event '{event_i}' created"));
-        resp.messages.push(format!("trigger '{trigger_i}' created"));
-        Ok(resp)
-    }
-
-    fn create_composite(
-        &self,
-        ctx: &SessionCtx,
-        trigger: &str,
-        event: &str,
-        expr_src: &str,
-        clauses: &TriggerClauses,
-        action: &str,
-    ) -> Result<AgentResponse> {
-        let trigger_i = naming::internal(ctx, trigger);
-        let event_i = naming::internal(ctx, event);
-        {
-            let registry = self.inner.registry.lock();
-            if registry.has_event(&event_i) {
-                return Err(AgentError::Naming(format!(
-                    "event '{event_i}' already exists"
-                )));
-            }
-            if registry.trigger(&trigger_i).is_some() {
-                return Err(AgentError::Naming(format!(
-                    "trigger '{trigger_i}' already exists"
-                )));
-            }
-        }
-        // Name checking + expansion (§5.3): every referenced event must
-        // already be defined; user names expand to internal names.
-        let expr = snoop::parse(expr_src)?;
-        let mut unknown: Option<String> = None;
-        let expr_internal = expr.map_names(&mut |n| match self.resolve_event(&n.key(), ctx) {
-            Ok(internal) => snoop::EventName::simple(internal),
-            Err(_) => {
-                unknown.get_or_insert_with(|| n.key());
-                n.clone()
-            }
-        });
-        if let Some(name) = unknown {
-            return Err(AgentError::Naming(format!("event '{name}' is not defined")));
-        }
-        let expr_internal_src = expr_internal.to_string();
-        // Register the composite in the LED first — it validates shape.
-        self.inner
-            .led
-            .lock()
-            .define_composite(&event_i, &expr_internal, clauses.context)?;
-        let result = (|| -> Result<AgentResponse> {
-            let saga_spec = SagaSpec::parse_action(action, &|n| naming::internal(ctx, n))?;
-            if let Some(spec) = &saga_spec {
-                self.validate_saga_procs(spec)?;
-            }
-            let proc_name = if saga_spec.is_some() {
-                String::new()
-            } else {
-                naming::action_proc(&trigger_i)
-            };
-            let (rewritten, refs) = if saga_spec.is_some() {
-                (String::new(), Vec::new())
-            } else {
-                codegen::rewrite_context_refs(action, |t| {
-                    self.resolve_table(t, ctx)
-                        .unwrap_or_else(|_| naming::internal(ctx, t))
-                })
-            };
-            // Context sources: shadows of the transitive primitive
-            // constituents matching each referenced (table, kind). The new
-            // composite is not in the registry yet, so walk from its
-            // references.
-            let sources = {
+        let cmd = parse_eca(sql)?;
+        let _serial = self.inner.define_lock.lock();
+        if let EcaCommand::DropTrigger { trigger } = &cmd {
+            let managed = {
                 let registry = self.inner.registry.lock();
-                let mut constituents: Vec<&PrimitiveEventInfo> = Vec::new();
-                for r in expr_internal.references() {
-                    for p in registry.primitive_constituents(&r.key()) {
-                        if !constituents.iter().any(|c| c.name == p.name) {
-                            constituents.push(p);
-                        }
-                    }
-                }
-                let mut sources = Vec::new();
-                for r in &refs {
-                    for p in &constituents {
-                        if !p.table.eq_ignore_ascii_case(&r.table) {
-                            continue;
-                        }
-                        for (shadow, kind) in p.stamped_shadows() {
-                            if kind == r.kind {
-                                sources.push(codegen::ContextSource {
-                                    tmp: match kind {
-                                        ShadowKind::Inserted => naming::tmp_inserted(&r.table),
-                                        ShadowKind::Deleted => naming::tmp_deleted(&r.table),
-                                    },
-                                    shadow: shadow.to_string(),
-                                });
-                            }
-                        }
-                    }
-                }
-                sources
+                registry.trigger(&naming::internal(ctx, trigger)).is_some()
+                    || registry.trigger(trigger).is_some()
             };
-            for r in &refs {
-                self.ensure_tmp_from_refs(r, ctx)?;
-            }
-            if saga_spec.is_none() {
-                self.inner.gateway.internal(
-                    &codegen::led_action_proc(&proc_name, clauses.context, &sources, &rewritten),
-                    ctx,
-                )?;
-            }
-            self.inner.persist.run(&codegen::persist_composite_sql(
-                &ctx.database,
-                &ctx.user,
-                &event_i,
-                &expr_internal_src,
-                clauses.coupling.as_str(),
-                clauses.context.as_str(),
-                clauses.priority,
-            ))?;
-            self.inner.persist.run(&codegen::persist_trigger_sql(
-                &ctx.database,
-                &ctx.user,
-                &trigger_i,
-                &proc_name,
-                &event_i,
-                clauses.coupling.as_str(),
-                clauses.context.as_str(),
-                clauses.priority,
-                "led",
-            ))?;
-            if let Some(spec) = &saga_spec {
-                self.inner
-                    .persist
-                    .run(&persist_saga_steps_sql(&trigger_i, spec))?;
-            }
-            self.inner.led.lock().add_rule(
-                RuleSpec::new(&trigger_i, &event_i)
-                    .with_coupling(clauses.coupling)
-                    .with_priority(clauses.priority),
-            )?;
-            let mut registry = self.inner.registry.lock();
-            registry.add_composite(CompositeEventInfo {
-                name: event_i.clone(),
-                expr_src: expr_internal_src.clone(),
-                context: clauses.context,
-            })?;
-            registry.add_trigger(TriggerInfo {
-                name: trigger_i.clone(),
-                event: event_i.clone(),
-                proc_name,
-                kind: TriggerKind::Led,
-                coupling: clauses.coupling,
-                context: clauses.context,
-                priority: clauses.priority,
-                saga: saga_spec.map(Arc::new),
-            })?;
-            let mut resp = AgentResponse::default();
-            resp.messages.push(format!(
-                "composite event '{event_i}' = {expr_internal_src} created"
-            ));
-            resp.messages.push(format!("trigger '{trigger_i}' created"));
-            Ok(resp)
-        })();
-        if result.is_err() {
-            // Roll the LED registration back so a failed command leaves no
-            // half-defined event behind.
-            let _ = self.inner.led.lock().drop_composite(&event_i);
-        }
-        result
-    }
-
-    fn create_on_existing(
-        &self,
-        ctx: &SessionCtx,
-        trigger: &str,
-        event: &str,
-        clauses: &TriggerClauses,
-        action: &str,
-    ) -> Result<AgentResponse> {
-        let trigger_i = naming::internal(ctx, trigger);
-        let event_i = self.resolve_event(event, ctx)?;
-        {
-            let registry = self.inner.registry.lock();
-            if registry.trigger(&trigger_i).is_some() {
-                return Err(AgentError::Naming(format!(
-                    "trigger '{trigger_i}' already exists"
-                )));
-            }
-        }
-        let saga_spec = SagaSpec::parse_action(action, &|n| naming::internal(ctx, n))?;
-        if let Some(spec) = &saga_spec {
-            self.validate_saga_procs(spec)?;
-        }
-        let proc_name = if saga_spec.is_some() {
-            String::new()
-        } else {
-            naming::action_proc(&trigger_i)
-        };
-        let (rewritten, refs) = if saga_spec.is_some() {
-            (String::new(), Vec::new())
-        } else {
-            codegen::rewrite_context_refs(action, |t| {
-                self.resolve_table(t, ctx)
-                    .unwrap_or_else(|_| naming::internal(ctx, t))
-            })
-        };
-        let primitive_info = self.inner.registry.lock().primitive(&event_i).cloned();
-        let kind = match (&primitive_info, clauses.coupling) {
-            (Some(_), CouplingMode::Immediate) if saga_spec.is_none() => TriggerKind::Native,
-            _ => TriggerKind::Led,
-        };
-        match kind {
-            TriggerKind::Native => {
-                let info = primitive_info.expect("checked above");
-                for r in &refs {
-                    self.ensure_tmp_table(r, &info, ctx)?;
-                }
-                self.inner.gateway.internal(
-                    &codegen::native_action_proc(&proc_name, &info, &refs, &rewritten),
-                    ctx,
-                )?;
-                // Regenerate the native trigger with the new proc included,
-                // keeping the EXECUTE lines in priority order.
-                let procs: Vec<String> = {
-                    let registry = self.inner.registry.lock();
-                    let mut entries: Vec<(i32, String, String)> = registry
-                        .native_triggers_on(&event_i)
-                        .iter()
-                        .map(|t| (t.priority, t.name.clone(), t.proc_name.clone()))
-                        .collect();
-                    entries.push((clauses.priority, trigger_i.clone(), proc_name.clone()));
-                    entries.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                    entries.into_iter().map(|(_, _, p)| p).collect()
-                };
-                self.regenerate_native_trigger(&info, ctx, &procs)?;
-            }
-            TriggerKind::Led => {
-                let sources = {
-                    let registry = self.inner.registry.lock();
-                    let constituents = registry.primitive_constituents(&event_i);
-                    let mut sources = Vec::new();
-                    for r in &refs {
-                        for p in &constituents {
-                            if !p.table.eq_ignore_ascii_case(&r.table) {
-                                continue;
-                            }
-                            for (shadow, skind) in p.stamped_shadows() {
-                                if skind == r.kind {
-                                    sources.push(codegen::ContextSource {
-                                        tmp: match skind {
-                                            ShadowKind::Inserted => naming::tmp_inserted(&r.table),
-                                            ShadowKind::Deleted => naming::tmp_deleted(&r.table),
-                                        },
-                                        shadow: shadow.to_string(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    sources
-                };
-                for r in &refs {
-                    self.ensure_tmp_from_refs(r, ctx)?;
-                }
-                let context = {
-                    // Rules on a composite inherit the event's context (it
-                    // is a property of the detection graph).
-                    let registry = self.inner.registry.lock();
-                    registry
-                        .composite(&event_i)
-                        .map(|c| c.context)
-                        .unwrap_or(clauses.context)
-                };
-                if saga_spec.is_none() {
-                    self.inner.gateway.internal(
-                        &codegen::led_action_proc(&proc_name, context, &sources, &rewritten),
-                        ctx,
-                    )?;
-                }
-                self.inner.led.lock().add_rule(
-                    RuleSpec::new(&trigger_i, &event_i)
-                        .with_coupling(clauses.coupling)
-                        .with_priority(clauses.priority),
-                )?;
-            }
-        }
-        self.inner.persist.run(&codegen::persist_trigger_sql(
-            &ctx.database,
-            &ctx.user,
-            &trigger_i,
-            &proc_name,
-            &event_i,
-            clauses.coupling.as_str(),
-            clauses.context.as_str(),
-            clauses.priority,
-            if kind == TriggerKind::Native {
-                "native"
-            } else {
-                "led"
-            },
-        ))?;
-        if let Some(spec) = &saga_spec {
-            self.inner
-                .persist
-                .run(&persist_saga_steps_sql(&trigger_i, spec))?;
-        }
-        self.inner.registry.lock().add_trigger(TriggerInfo {
-            name: trigger_i.clone(),
-            event: event_i.clone(),
-            proc_name,
-            kind,
-            coupling: clauses.coupling,
-            context: clauses.context,
-            priority: clauses.priority,
-            saga: saga_spec.map(Arc::new),
-        })?;
-        let mut resp = AgentResponse::default();
-        resp.messages.push(format!(
-            "trigger '{trigger_i}' created on event '{event_i}'"
-        ));
-        Ok(resp)
-    }
-
-    fn regenerate_native_trigger(
-        &self,
-        info: &PrimitiveEventInfo,
-        ctx: &SessionCtx,
-        procs: &[String],
-    ) -> Result<()> {
-        // Creating a trigger on the same (table, op) slot silently replaces
-        // the previous definition — the one Sybase restriction (§2.2) the
-        // agent exploits rather than works around.
-        self.inner.gateway.internal(
-            &codegen::native_trigger_sql(
-                info,
-                &info.table,
-                &ctx.user,
-                &self.inner.config.notify_host,
-                self.inner.config.notify_port,
-                procs,
-            ),
-            ctx,
-        )?;
-        Ok(())
-    }
-
-    fn ensure_tmp_table(
-        &self,
-        r: &codegen::ContextRef,
-        info: &PrimitiveEventInfo,
-        ctx: &SessionCtx,
-    ) -> Result<()> {
-        let (tmp, shadow) = match r.kind {
-            ShadowKind::Inserted => (naming::tmp_inserted(&r.table), &info.shadow_inserted),
-            ShadowKind::Deleted => (naming::tmp_deleted(&r.table), &info.shadow_deleted),
-        };
-        if !self.has_server_table(&tmp) {
-            self.inner
-                .gateway
-                .internal(&codegen::tmp_table_ddl(&tmp, shadow), ctx)?;
-        }
-        Ok(())
-    }
-
-    /// Ensure a context tmp table exists, cloning schema from any shadow of
-    /// a primitive event on the referenced table, or from the table itself.
-    fn ensure_tmp_from_refs(&self, r: &codegen::ContextRef, ctx: &SessionCtx) -> Result<()> {
-        let tmp = match r.kind {
-            ShadowKind::Inserted => naming::tmp_inserted(&r.table),
-            ShadowKind::Deleted => naming::tmp_deleted(&r.table),
-        };
-        if self.has_server_table(&tmp) {
-            return Ok(());
-        }
-        let shadow = {
-            let registry = self.inner.registry.lock();
-            let mut found = None;
-            for op in [TriggerOp::Insert, TriggerOp::Update, TriggerOp::Delete] {
-                if let Some(p) = registry.primitive_for_slot(&r.table, op) {
-                    found = Some(match r.kind {
-                        ShadowKind::Inserted => p.shadow_inserted.clone(),
-                        ShadowKind::Deleted => p.shadow_deleted.clone(),
-                    });
-                    break;
-                }
-            }
-            found
-        };
-        match shadow {
-            Some(shadow) => {
-                self.inner
-                    .gateway
-                    .internal(&codegen::tmp_table_ddl(&tmp, &shadow), ctx)?;
-            }
-            None => {
-                // No event on the table yet: clone the table and add vNo.
-                self.inner.gateway.internal(
-                    &format!(
-                        "select * into {tmp} from {t} where 1=2\n\
-                         alter table {tmp} add vNo int null",
-                        t = r.table
-                    ),
-                    ctx,
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    // ----------------------------------------------------------- ECA drop
-
-    fn drop_trigger(&self, ctx: &SessionCtx, trigger: &str) -> Result<AgentResponse> {
-        let trigger_i = naming::internal(ctx, trigger);
-        let info = {
-            let registry = self.inner.registry.lock();
-            registry
-                .trigger(&trigger_i)
-                .or_else(|| registry.trigger(trigger))
-                .cloned()
-        };
-        let info = match info {
-            Some(i) => i,
-            None => {
+            if !managed {
                 // Not agent-managed: forward to the server (it may be a
                 // plain native trigger).
                 let server = self
@@ -1854,93 +1190,78 @@ impl EcaAgent {
                     ..Default::default()
                 });
             }
+        }
+        // The commit batch never touches a native trigger or a watched
+        // table, so the planning snapshot stays valid for activation.
+        let snap = self.server().snapshot();
+        let plan = {
+            let led = self.inner.led.lock();
+            let registry = self.inner.registry.lock();
+            define::plan_rule(&cmd, ctx, &registry, &led, &snap)?
         };
-        match info.kind {
-            TriggerKind::Led => {
-                self.inner.led.lock().drop_rule(&info.name)?;
+        match plan.direction {
+            Direction::Define => {
+                self.inner.gateway.internal(&plan.batch, ctx)?;
+                self.registration(&plan.entries, define::register)?;
+                self.sync_native_triggers(&snap, &plan.native)?;
             }
-            TriggerKind::Native => {
-                let primitive = self
-                    .inner
-                    .registry
-                    .lock()
-                    .primitive(&info.event)
-                    .cloned()
-                    .ok_or_else(|| {
-                        AgentError::Naming(format!("event '{}' missing for trigger", info.event))
-                    })?;
-                let procs: Vec<String> = {
-                    let registry = self.inner.registry.lock();
-                    registry
-                        .native_triggers_on(&info.event)
-                        .iter()
-                        .filter(|t| t.name != info.name)
-                        .map(|t| t.proc_name.clone())
-                        .collect()
-                };
-                self.regenerate_native_trigger(&primitive, ctx, &procs)?;
+            Direction::Retire => {
+                self.registration(&plan.entries, define::unregister)?;
+                self.sync_native_triggers(&snap, &plan.native)?;
+                self.inner.gateway.internal(&plan.batch, ctx)?;
             }
         }
-        if info.saga.is_none() {
-            // Saga triggers own no generated action procedure; their step
-            // procedures belong to the user and stay.
-            self.inner
-                .gateway
-                .internal(&format!("drop procedure {}", info.proc_name), ctx)?;
-        } else {
-            self.inner.persist.delete_saga_steps(&info.name)?;
-        }
-        self.inner.persist.delete_trigger_row(&info.name)?;
-        self.inner.registry.lock().remove_trigger(&info.name);
-        let mut resp = AgentResponse::default();
-        resp.messages
-            .push(format!("trigger '{}' dropped", info.name));
-        Ok(resp)
+        Ok(AgentResponse {
+            messages: plan.messages,
+            ..Default::default()
+        })
     }
 
-    fn drop_event(&self, ctx: &SessionCtx, event: &str) -> Result<AgentResponse> {
-        let event_i = self.resolve_event(event, ctx)?;
-        {
-            let registry = self.inner.registry.lock();
-            let triggers = registry.triggers_on(&event_i);
-            if !triggers.is_empty() {
-                return Err(AgentError::Naming(format!(
-                    "event '{event_i}' still has {} trigger(s)",
-                    triggers.len()
-                )));
-            }
-            let deps = registry.dependents_of(&event_i);
-            if !deps.is_empty() {
-                return Err(AgentError::Naming(format!(
-                    "event '{event_i}' is referenced by {} composite event(s)",
-                    deps.len()
-                )));
-            }
-        }
-        self.inner.led.lock().drop_composite(&event_i)?;
+    /// Apply `step` ([`define::register`] or [`define::unregister`]) to
+    /// each entry, under the detector, registry and tracker locks.
+    fn registration(&self, entries: &[Entry], step: RegistrationStep) -> Result<()> {
+        let mut led = self.inner.led.lock();
         let mut registry = self.inner.registry.lock();
-        if let Some(info) = registry.remove_primitive(&event_i) {
-            self.inner.gateway.internal(
-                &format!(
-                    "drop trigger {}\ndrop table {}\ndrop table {}\ndrop table {}",
-                    naming::native_trigger(&info.name),
-                    info.shadow_inserted,
-                    info.shadow_deleted,
-                    info.version_table,
-                ),
-                ctx,
-            )?;
-            self.inner.persist.delete_primitive_row(&event_i)?;
-            self.inner.persist.delete_watermark_row(&event_i)?;
-            self.inner.tracker.lock().forget_event(&event_i);
-        } else if registry.remove_composite(&event_i).is_some() {
-            self.inner.persist.delete_composite_row(&event_i)?;
+        let mut tracker = self.inner.tracker.lock();
+        entries
+            .iter()
+            .try_for_each(|e| step(&mut led, &mut registry, &mut tracker, e))
+    }
+
+    /// Bring the native trigger of each event in line with the registry,
+    /// issuing DDL only where the catalog in `snap` differs. Each statement
+    /// runs under the identity that defined the event, so the generated
+    /// text never depends on who issued the command.
+    fn sync_native_triggers<'a>(
+        &self,
+        snap: &DbSnapshot,
+        events: impl IntoIterator<Item = &'a PrimitiveEventInfo>,
+    ) -> Result<()> {
+        let fixes: Vec<(SessionCtx, String)> = {
+            let registry = self.inner.registry.lock();
+            events
+                .into_iter()
+                .filter_map(|e| {
+                    define::native_trigger_fix(
+                        &registry,
+                        snap.database(),
+                        e,
+                        &self.inner.config.notify_host,
+                        self.inner.config.notify_port,
+                    )
+                    .map(|sql| (SessionCtx::new(&e.db, &e.user), sql))
+                })
+                .collect()
+        };
+        for (owner, sql) in fixes {
+            self.inner.gateway.internal(&sql, &owner)?;
         }
-        let mut resp = AgentResponse::default();
-        resp.messages.push(format!("event '{event_i}' dropped"));
-        Ok(resp)
+        Ok(())
     }
 }
+
+type RegistrationStep =
+    fn(&mut Detector, &mut Registry, &mut ReliabilityTracker, &Entry) -> Result<()>;
 
 /// Strict parse of a persisted coupling mode — a corrupted system-table
 /// row must fail recovery, not silently become the default mode.

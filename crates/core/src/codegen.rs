@@ -14,8 +14,11 @@
 use led::ParameterContext;
 use relsql::lexer::{tokenize, TokenKind};
 
+use crate::eca_parser::TriggerClauses;
 use crate::naming;
-use crate::registry::{PrimitiveEventInfo, ShadowKind};
+use crate::registry::{
+    CompositeEventInfo, PrimitiveEventInfo, ShadowKind, TriggerInfo, TriggerKind,
+};
 
 /// Escape a string for inclusion in a single-quoted SQL literal.
 pub fn sql_quote(s: &str) -> String {
@@ -133,7 +136,7 @@ pub fn system_tables_ddl() -> Vec<(&'static str, String)> {
 /// procedure selects the triggering tuples with `shadow.vNo = <current>`,
 /// and the shadow tables only grow — without the index that equality probe
 /// would degrade into a scan of the event's entire history.
-pub fn primitive_event_setup(info: &PrimitiveEventInfo, table_sql: &str) -> String {
+pub fn primitive_event_setup(info: &PrimitiveEventInfo) -> String {
     format!(
         "select * into {ins} from {t} where 1=2\n\
          alter table {ins} add vNo int null\n\
@@ -146,31 +149,47 @@ pub fn primitive_event_setup(info: &PrimitiveEventInfo, table_sql: &str) -> Stri
         ins = info.shadow_inserted,
         del = info.shadow_deleted,
         ver = info.version_table,
-        t = table_sql,
+        t = info.table_sql,
     )
 }
 
-/// The native SQL trigger installed for a primitive event (Figure 11).
+/// The native SQL trigger installed for a primitive event (Figure 11),
+/// executing `immediate_procs` (the event's IMMEDIATE trigger procedures,
+/// in priority order) after the notification.
+///
+/// Generated from the event's persisted fields alone — the table as the
+/// creating user wrote it, under that user's identity — so every
+/// regeneration (another trigger on the event, a drop, recovery) yields
+/// the same text for the same rule set.
+pub fn native_trigger_sql(
+    info: &PrimitiveEventInfo,
+    host: &str,
+    port: u16,
+    immediate_procs: &[String],
+) -> String {
+    format!(
+        "create trigger {name} on {t} for {op} as\n{body}",
+        name = naming::native_trigger(&info.name),
+        t = info.table_sql,
+        op = info.operation,
+        body = native_trigger_body(info, host, port, immediate_procs),
+    )
+}
+
+/// The body of [`native_trigger_sql`] — what the catalog keeps as the
+/// trigger's `body_src` (modulo the trailing newline).
 ///
 /// Body order: bump the event's occurrence number, refresh the version
 /// helper, stamp the affected rows into the shadow table(s), notify the
 /// agent over `syb_sendmsg`, then execute the IMMEDIATE trigger procedures
 /// in priority order.
-pub fn native_trigger_sql(
+pub(crate) fn native_trigger_body(
     info: &PrimitiveEventInfo,
-    table_sql: &str,
-    user: &str,
     host: &str,
     port: u16,
     immediate_procs: &[String],
 ) -> String {
     let mut body = String::new();
-    body.push_str(&format!(
-        "create trigger {name} on {t} for {op} as\n",
-        name = naming::native_trigger(&info.name),
-        t = table_sql,
-        op = info.operation,
-    ));
     // Bump the event's own version counter first so shadow rows carry the
     // occurrence number this firing is known by. Earlier versions routed
     // the bump through the shared SysPrimitiveEvent table, which would put
@@ -198,7 +217,8 @@ pub fn native_trigger_sql(
         host = sql_quote(host),
         prefix = sql_quote(&format!(
             "{user} {table} {op} begin {event} ",
-            table = table_sql,
+            user = info.user,
+            table = info.table_sql,
             op = info.operation,
             event = info.name,
         )),
@@ -216,6 +236,16 @@ pub struct ContextRef {
     /// Internal name of the user table.
     pub table: String,
     pub kind: ShadowKind,
+}
+
+impl ContextRef {
+    /// The context tmp table the reference is rewritten to.
+    pub(crate) fn tmp(&self) -> String {
+        match self.kind {
+            ShadowKind::Inserted => naming::tmp_inserted(&self.table),
+            ShadowKind::Deleted => naming::tmp_deleted(&self.table),
+        }
+    }
 }
 
 /// Rewrite the `TableName.inserted` / `TableName.deleted` context accessors
@@ -264,19 +294,15 @@ pub fn rewrite_context_refs(
             };
             if let Some(kind) = kind {
                 if parts.len() >= 2 {
-                    let table_user = parts[..parts.len() - 1].join(".");
-                    let table = expand(&table_user);
-                    let tmp = match kind {
-                        ShadowKind::Inserted => naming::tmp_inserted(&table),
-                        ShadowKind::Deleted => naming::tmp_deleted(&table),
-                    };
+                    let table = expand(&parts[..parts.len() - 1].join("."));
+                    let r = ContextRef { table, kind };
                     let begin = tokens[start].pos;
                     let end = tokens[j].pos
                         + match &tokens[j].kind {
                             TokenKind::Ident(s) => s.len(),
                             _ => 0,
                         };
-                    spans.push((begin, end, tmp, ContextRef { table, kind }));
+                    spans.push((begin, end, r.tmp(), r));
                 }
             }
             i = j + 1;
@@ -352,10 +378,7 @@ pub fn native_action_proc(
 ) -> String {
     let mut body = format!("create procedure {proc_name} as\n");
     for r in refs {
-        let (tmp, shadow) = match r.kind {
-            ShadowKind::Inserted => (naming::tmp_inserted(&r.table), info.shadow_inserted.clone()),
-            ShadowKind::Deleted => (naming::tmp_deleted(&r.table), info.shadow_deleted.clone()),
-        };
+        let (tmp, shadow) = (r.tmp(), info.shadow(r.kind));
         body.push_str(&format!(
             "delete {tmp}\n\
              insert {tmp} select {shadow}.* from {shadow}, {ver} \
@@ -368,70 +391,55 @@ pub fn native_action_proc(
     body
 }
 
-/// INSERT statements persisting a primitive event (Figure 11's generated
+/// INSERT persisting a primitive event (Figure 11's generated
 /// `insert SysPrimitiveEvent ...`).
-pub fn persist_primitive_sql(
-    db: &str,
-    user: &str,
-    info: &PrimitiveEventInfo,
-    table_sql: &str,
-) -> String {
+pub fn persist_primitive_sql(info: &PrimitiveEventInfo) -> String {
     format!(
         "insert SysPrimitiveEvent values ({}, {}, {}, {}, {}, getdate(), 0)",
-        sql_quote(db),
-        sql_quote(user),
+        sql_quote(&info.db),
+        sql_quote(&info.user),
         sql_quote(&info.name),
-        sql_quote(table_sql),
+        sql_quote(&info.table_sql),
         sql_quote(info.operation.as_str()),
     )
 }
 
-/// INSERT persisting a composite event (Figure 14's generated insert).
+/// INSERT persisting a composite event (Figure 14's generated insert),
+/// with the coupling/context/priority of the trigger defined alongside it.
 pub fn persist_composite_sql(
     db: &str,
     user: &str,
-    event: &str,
-    expr_src: &str,
-    coupling: &str,
-    context: &str,
-    priority: i32,
+    event: &CompositeEventInfo,
+    clauses: &TriggerClauses,
 ) -> String {
     format!(
         "insert SysCompositeEvent values ({}, {}, {}, {}, getdate(), {}, {}, {})",
         sql_quote(db),
         sql_quote(user),
-        sql_quote(event),
-        sql_quote(expr_src),
-        sql_quote(coupling),
-        sql_quote(context),
-        sql_quote(&priority.to_string()),
+        sql_quote(&event.name),
+        sql_quote(&event.expr_src),
+        sql_quote(clauses.coupling.as_str()),
+        sql_quote(clauses.context.as_str()),
+        sql_quote(&clauses.priority.to_string()),
     )
 }
 
 /// INSERT persisting a trigger row.
-#[allow(clippy::too_many_arguments)]
-pub fn persist_trigger_sql(
-    db: &str,
-    user: &str,
-    trigger: &str,
-    proc: &str,
-    event: &str,
-    coupling: &str,
-    context: &str,
-    priority: i32,
-    kind: &str,
-) -> String {
+pub fn persist_trigger_sql(db: &str, user: &str, t: &TriggerInfo) -> String {
     format!(
         "insert SysEcaTrigger values ({}, {}, {}, {}, getdate(), {}, {}, {}, {}, {})",
         sql_quote(db),
         sql_quote(user),
-        sql_quote(trigger),
-        sql_quote(proc),
-        sql_quote(event),
-        sql_quote(coupling),
-        sql_quote(context),
-        priority,
-        sql_quote(kind),
+        sql_quote(&t.name),
+        sql_quote(&t.proc_name),
+        sql_quote(&t.event),
+        sql_quote(t.coupling.as_str()),
+        sql_quote(t.context.as_str()),
+        t.priority,
+        sql_quote(match t.kind {
+            TriggerKind::Native => "native",
+            TriggerKind::Led => "led",
+        }),
     )
 }
 
@@ -441,14 +449,14 @@ mod tests {
     use relsql::ast::TriggerOp;
 
     fn info() -> PrimitiveEventInfo {
-        PrimitiveEventInfo {
-            name: "sentineldb.sharma.addStk".into(),
-            table: "sentineldb.sharma.stock".into(),
-            operation: TriggerOp::Insert,
-            shadow_inserted: "sentineldb.sharma.addStk_inserted".into(),
-            shadow_deleted: "sentineldb.sharma.addStk_deleted".into(),
-            version_table: "sentineldb.sharma.addStk_ver".into(),
-        }
+        PrimitiveEventInfo::new(
+            "sentineldb.sharma.addStk",
+            "sentineldb",
+            "sharma",
+            "stock",
+            "sentineldb.sharma.stock",
+            TriggerOp::Insert,
+        )
     }
 
     #[test]
@@ -473,7 +481,7 @@ mod tests {
 
     #[test]
     fn setup_sql_parses_and_mentions_figure_11_artifacts() {
-        let sql = primitive_event_setup(&info(), "stock");
+        let sql = primitive_event_setup(&info());
         relsql::parser::parse_script(&sql).unwrap();
         assert!(
             sql.contains("select * into sentineldb.sharma.addStk_inserted from stock where 1=2")
@@ -486,13 +494,12 @@ mod tests {
     fn native_trigger_shape() {
         let sql = native_trigger_sql(
             &info(),
-            "stock",
-            "sharma",
             "128.227.205.215",
             10006,
             &["sentineldb.sharma.t_addStk__Proc".to_string()],
         );
         relsql::parser::parse_script(&sql).unwrap();
+        assert!(sql.contains("'sharma stock insert begin sentineldb.sharma.addStk '"));
         assert!(sql.contains("create trigger sentineldb.sharma.addStk__evtrig on stock for insert"));
         assert!(sql.contains("update sentineldb.sharma.addStk_ver set vNo = vNo + 1"));
         // The bump must stay off the shared SysPrimitiveEvent table so DML
@@ -510,7 +517,7 @@ mod tests {
     fn native_trigger_update_op_stamps_both_shadows() {
         let mut i = info();
         i.operation = TriggerOp::Update;
-        let sql = native_trigger_sql(&i, "stock", "u", "h", 1, &[]);
+        let sql = native_trigger_sql(&i, "h", 1, &[]);
         assert!(sql.contains("select * from inserted"));
         assert!(sql.contains("select * from deleted"));
     }
@@ -626,26 +633,30 @@ mod tests {
     fn persist_statements_parse() {
         let i = info();
         for sql in [
-            persist_primitive_sql("sentineldb", "sharma", &i, "stock"),
+            persist_primitive_sql(&i),
             persist_composite_sql(
                 "sentineldb",
                 "sharma",
-                "sentineldb.sharma.addDel",
-                "(a ^ b)",
-                "IMMEDIATE",
-                "RECENT",
-                0,
+                &CompositeEventInfo {
+                    name: "sentineldb.sharma.addDel".into(),
+                    expr_src: "(a ^ b)".into(),
+                    context: ParameterContext::Recent,
+                },
+                &TriggerClauses::default(),
             ),
             persist_trigger_sql(
                 "sentineldb",
                 "sharma",
-                "sentineldb.sharma.t_and",
-                "sentineldb.sharma.t_and__Proc",
-                "sentineldb.sharma.addDel",
-                "IMMEDIATE",
-                "RECENT",
-                0,
-                "led",
+                &TriggerInfo {
+                    name: "sentineldb.sharma.t_and".into(),
+                    event: "sentineldb.sharma.addDel".into(),
+                    proc_name: "sentineldb.sharma.t_and__Proc".into(),
+                    kind: TriggerKind::Led,
+                    coupling: led::CouplingMode::Immediate,
+                    context: ParameterContext::Recent,
+                    priority: 0,
+                    saga: None,
+                },
             ),
         ] {
             relsql::parser::parse_script(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));

@@ -40,6 +40,7 @@ pub mod agent;
 pub mod baseline;
 pub mod codegen;
 pub mod context_proc;
+mod define;
 pub mod eca_parser;
 pub mod error;
 pub mod filter;

@@ -117,30 +117,6 @@ impl PersistentManager {
         self.session.execute(sql).map_err(AgentError::from)
     }
 
-    pub fn delete_trigger_row(&self, trigger: &str) -> Result<()> {
-        self.run(&format!(
-            "delete SysEcaTrigger where triggerName = {}",
-            sql_quote(trigger)
-        ))?;
-        Ok(())
-    }
-
-    pub fn delete_primitive_row(&self, event: &str) -> Result<()> {
-        self.run(&format!(
-            "delete SysPrimitiveEvent where eventName = {}",
-            sql_quote(event)
-        ))?;
-        Ok(())
-    }
-
-    pub fn delete_composite_row(&self, event: &str) -> Result<()> {
-        self.run(&format!(
-            "delete SysCompositeEvent where eventName = {}",
-            sql_quote(event)
-        ))?;
-        Ok(())
-    }
-
     /// Load the per-event notification high-water marks.
     pub fn load_watermarks(&self) -> Result<std::collections::HashMap<String, i64>> {
         let r = self.run("select eventName, hwm from SysAgentWatermark")?;
@@ -195,14 +171,6 @@ impl PersistentManager {
             "delete SysAgentWatermark where eventName = {ev}\n\
              insert SysAgentWatermark values ({ev}, {hwm})",
             ev = sql_quote(event),
-        ))?;
-        Ok(())
-    }
-
-    pub fn delete_watermark_row(&self, event: &str) -> Result<()> {
-        self.run(&format!(
-            "delete SysAgentWatermark where eventName = {}",
-            sql_quote(event)
         ))?;
         Ok(())
     }
@@ -428,14 +396,6 @@ impl PersistentManager {
         Ok(out)
     }
 
-    pub fn delete_saga_steps(&self, trigger: &str) -> Result<()> {
-        self.run(&format!(
-            "delete SysSagaStep where triggerName = {}",
-            sql_quote(trigger)
-        ))?;
-        Ok(())
-    }
-
     /// The full saga journal, in insertion order (recovery groups it by
     /// saga key itself).
     pub fn load_saga_journal(&self) -> Result<Vec<SagaJournalRow>> {
@@ -544,7 +504,8 @@ mod tests {
         assert_eq!(t1[0].step_idx, 0, "ordered by stepIdx");
         assert_eq!(t1[0].comp_proc.as_deref(), Some("db.u.c1"));
         assert_eq!(t1[1].comp_proc, None);
-        pm.delete_saga_steps("db.u.t1").unwrap();
+        pm.run("delete SysSagaStep where triggerName = 'db.u.t1'")
+            .unwrap();
         assert_eq!(pm.load_saga_steps().unwrap().len(), 1);
     }
 
@@ -590,7 +551,8 @@ mod tests {
         assert_eq!(wm.len(), 2);
         assert_eq!(wm.get("db.u.e"), Some(&7));
         assert_eq!(wm.get("db.u.f"), Some(&1));
-        pm.delete_watermark_row("db.u.e").unwrap();
+        pm.run("delete SysAgentWatermark where eventName = 'db.u.e'")
+            .unwrap();
         assert_eq!(pm.load_watermarks().unwrap().len(), 1);
     }
 
@@ -681,7 +643,8 @@ mod tests {
         assert_eq!(rows[0].name, "db.u.t1");
         assert_eq!(rows[0].kind, "led");
         assert_eq!(rows[0].priority, 7);
-        pm.delete_trigger_row("db.u.t1").unwrap();
+        pm.run("delete SysEcaTrigger where triggerName = 'db.u.t1'")
+            .unwrap();
         assert!(pm.load_triggers().unwrap().is_empty());
     }
 

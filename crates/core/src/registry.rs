@@ -11,6 +11,7 @@ use led::{CouplingMode, ParameterContext};
 use relsql::ast::TriggerOp;
 
 use crate::error::{AgentError, Result};
+use crate::naming;
 use crate::saga::SagaSpec;
 
 /// A primitive event: a (table, operation) pair with named, reusable
@@ -19,7 +20,14 @@ use crate::saga::SagaSpec;
 pub struct PrimitiveEventInfo {
     /// Internal event name (`db.user.event`).
     pub name: String,
-    /// Internal name of the watched user table.
+    /// Identity of the defining session (`SysPrimitiveEvent.dbName` /
+    /// `userName`): the native trigger is always issued under it.
+    pub db: String,
+    pub user: String,
+    /// The watched table as the defining user wrote it
+    /// (`SysPrimitiveEvent.tableName`).
+    pub table_sql: String,
+    /// Catalog key the watched table resolved to.
     pub table: String,
     pub operation: TriggerOp,
     /// Shadow and helper tables generated for this event.
@@ -29,6 +37,38 @@ pub struct PrimitiveEventInfo {
 }
 
 impl PrimitiveEventInfo {
+    /// The event `name` (internal form) that `db.user` defined on
+    /// `table_sql`, which resolves to the catalog key `table`. Shadow and
+    /// helper table names follow [`crate::naming`].
+    pub(crate) fn new(
+        name: &str,
+        db: &str,
+        user: &str,
+        table_sql: &str,
+        table: &str,
+        operation: TriggerOp,
+    ) -> Self {
+        PrimitiveEventInfo {
+            name: name.to_string(),
+            db: db.to_string(),
+            user: user.to_string(),
+            table_sql: table_sql.to_string(),
+            table: table.to_string(),
+            operation,
+            shadow_inserted: naming::shadow_inserted(name),
+            shadow_deleted: naming::shadow_deleted(name),
+            version_table: naming::version_table(name),
+        }
+    }
+
+    /// The shadow table holding `kind` tuples.
+    pub(crate) fn shadow(&self, kind: ShadowKind) -> &str {
+        match kind {
+            ShadowKind::Inserted => &self.shadow_inserted,
+            ShadowKind::Deleted => &self.shadow_deleted,
+        }
+    }
+
     /// Shadow tables this event stamps for its operation.
     pub fn stamped_shadows(&self) -> Vec<(&str, ShadowKind)> {
         match self.operation {
@@ -146,14 +186,15 @@ impl Registry {
         self.composites.get(name)
     }
 
+    /// Every primitive event, in no particular order.
+    pub(crate) fn primitives(&self) -> impl Iterator<Item = &PrimitiveEventInfo> {
+        self.primitives.values()
+    }
+
     pub fn primitive_for_slot(&self, table: &str, op: TriggerOp) -> Option<&PrimitiveEventInfo> {
         self.slots
             .get(&(table.to_ascii_lowercase(), op))
             .and_then(|name| self.primitives.get(name))
-    }
-
-    pub fn event_count(&self) -> (usize, usize) {
-        (self.primitives.len(), self.composites.len())
     }
 
     /// The transitive *primitive* constituents of an event (an event may be
@@ -266,14 +307,7 @@ mod tests {
     use super::*;
 
     fn prim(name: &str, table: &str, op: TriggerOp) -> PrimitiveEventInfo {
-        PrimitiveEventInfo {
-            name: name.into(),
-            table: table.into(),
-            operation: op,
-            shadow_inserted: format!("{name}_inserted"),
-            shadow_deleted: format!("{name}_deleted"),
-            version_table: format!("{name}_ver"),
-        }
+        PrimitiveEventInfo::new(name, "db", "u", table, table, op)
     }
 
     fn trig(name: &str, event: &str, kind: TriggerKind, priority: i32) -> TriggerInfo {

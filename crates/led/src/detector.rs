@@ -180,6 +180,23 @@ impl Detector {
         Ok(())
     }
 
+    /// Check, without touching the graph, that [`Detector::define_composite`]
+    /// would accept `name = expr`: the name is free and every referenced
+    /// event is already defined.
+    pub fn check_composite(&self, name: &str, expr: &EventExpr) -> Result<(), LedError> {
+        if self.names.contains_key(name) {
+            return Err(LedError::DuplicateEvent(name.to_string()));
+        }
+        match expr
+            .references()
+            .into_iter()
+            .find(|r| !self.names.contains_key(&r.key()))
+        {
+            Some(r) => Err(LedError::UnknownEvent(r.key())),
+            None => Ok(()),
+        }
+    }
+
     /// Register a composite event from a Snoop expression. Every referenced
     /// event name must already be defined (primitive or composite) —
     /// the paper's "reuse of previously defined events" (§1).
@@ -189,15 +206,7 @@ impl Detector {
         expr: &EventExpr,
         context: ParameterContext,
     ) -> Result<(), LedError> {
-        if self.names.contains_key(name) {
-            return Err(LedError::DuplicateEvent(name.to_string()));
-        }
-        // Validate references before mutating the graph.
-        for r in expr.references() {
-            if !self.names.contains_key(&r.key()) {
-                return Err(LedError::UnknownEvent(r.key()));
-            }
-        }
+        self.check_composite(name, expr)?;
         let id = self.build(expr, context, Some(name))?;
         self.names.insert(name.to_string(), id);
         Ok(())
@@ -636,6 +645,25 @@ mod tests {
         );
         // Failed definition leaves no trace.
         assert!(!d.has_event("x"));
+    }
+
+    #[test]
+    fn check_composite_agrees_with_define_and_mutates_nothing() {
+        let mut d = det_with(&["a"]);
+        let missing = parse("a ^ missing").unwrap();
+        assert_eq!(
+            d.check_composite("x", &missing).unwrap_err(),
+            LedError::UnknownEvent("missing".into())
+        );
+        let ok = parse("a ; a").unwrap();
+        d.check_composite("x", &ok).unwrap();
+        assert!(!d.has_event("x"), "a check defines nothing");
+        d.define_composite("x", &ok, ParameterContext::Recent)
+            .unwrap();
+        assert_eq!(
+            d.check_composite("x", &ok).unwrap_err(),
+            LedError::DuplicateEvent("x".into())
+        );
     }
 
     #[test]

@@ -365,3 +365,241 @@ fn owner_qualified_names_expand_per_section_5_1() {
         .trigger_names()
         .contains(&"sentineldb.bob.t1".to_string()));
 }
+
+/// Everything a rule definition can leave behind, rendered for equality
+/// checks: catalog objects (tables, procedures, native triggers with their
+/// text), the agent's system-table rows and its in-memory view.
+fn footprint(agent: &EcaAgent) -> String {
+    let snap = agent.server().snapshot();
+    let db = snap.database();
+    let pm = PersistentManager::new(agent.server());
+    let mut out = format!("tables {:?}\n", db.table_names());
+    for p in db.procedure_defs() {
+        out.push_str(&format!("proc {}\n", p.name));
+    }
+    for t in db.trigger_defs() {
+        out.push_str(&format!(
+            "trigger {} on {}: {}\n",
+            t.name, t.table_key, t.body_src
+        ));
+    }
+    for sys in [
+        "SysPrimitiveEvent",
+        "SysCompositeEvent",
+        "SysEcaTrigger",
+        "SysSagaStep",
+    ] {
+        let rows = db.table(&sys.to_ascii_lowercase()).unwrap().rows().len();
+        out.push_str(&format!("{sys} {rows}\n"));
+    }
+    out.push_str(&format!("watermarks {:?}\n", {
+        let mut w: Vec<_> = pm.load_watermarks().unwrap().into_iter().collect();
+        w.sort();
+        w
+    }));
+    out.push_str(&format!("events {:?}\n", agent.event_names()));
+    out.push_str(&format!("rules {:?}\n", agent.trigger_names()));
+    out
+}
+
+#[test]
+fn failed_creation_never_drops_preexisting_objects() {
+    // The generated names are ordinary names: a user may already own an
+    // object called that. The command must refuse, and leave it alone.
+    let (agent, client) = setup();
+    client
+        .execute("create table sentineldb.sharma.addStk_inserted (note varchar(20))")
+        .unwrap();
+    client
+        .execute("insert sentineldb.sharma.addStk_inserted values ('keep me')")
+        .unwrap();
+    let err = client
+        .execute("create trigger t1 on stock for insert event addStk as print 'x'")
+        .unwrap_err();
+    assert!(matches!(err, AgentError::Naming(_)), "{err}");
+    let r = client
+        .execute("select count(*) from sentineldb.sharma.addStk_inserted")
+        .unwrap();
+    assert_eq!(
+        r.server.scalar(),
+        Some(&relsql::Value::Int(1)),
+        "user table kept"
+    );
+    assert!(agent.event_names().is_empty());
+
+    // Same for a procedure that happens to carry the action's name.
+    client
+        .execute("create procedure sentineldb.sharma.t2__Proc as print 'mine'")
+        .unwrap();
+    let err = client
+        .execute("create trigger t2 on stock for delete event delStk as print 'x'")
+        .unwrap_err();
+    assert!(matches!(err, AgentError::Naming(_)), "{err}");
+    assert_eq!(
+        client.execute("execute t2__Proc").unwrap().server.messages,
+        vec!["mine"],
+        "user procedure kept"
+    );
+    assert!(agent.event_names().is_empty());
+}
+
+#[test]
+fn native_trigger_text_is_independent_of_who_regenerates_it() {
+    // The native trigger is regenerated whenever an IMMEDIATE trigger is
+    // added to or dropped from its event, possibly by another user. Its
+    // text must come from the event's persisted definition alone.
+    let (agent, client) = setup();
+    client
+        .execute("create trigger t1 on STOCK for insert event addStk as print 'one'")
+        .unwrap();
+    let body = || {
+        agent
+            .server()
+            .snapshot()
+            .database()
+            .trigger("sentineldb.sharma.addStk__evtrig")
+            .expect("native trigger installed")
+            .body_src
+            .clone()
+    };
+    let created = body();
+    let bob = agent.client("sentineldb", "bob");
+    bob.execute("create trigger t2 event sharma.addStk as print 'two'")
+        .unwrap();
+    assert!(
+        body().contains("execute sentineldb.bob.t2__Proc"),
+        "{}",
+        body()
+    );
+    bob.execute("drop trigger t2").unwrap();
+    assert_eq!(body(), created, "create + drop is the identity on the text");
+    let resp = client.execute("insert stock values ('A', 1.0)").unwrap();
+    assert_eq!(resp.server.messages, vec!["one"]);
+    assert_eq!(agent.stats()["notifications"], 1);
+}
+
+#[test]
+fn rejected_commands_send_nothing() {
+    // Every check runs before the first statement goes to the server: a
+    // rejected command costs no gateway batch, no WAL record, and changes
+    // neither the catalog nor the detector or registry.
+    let storage = relsql::FaultyStorage::new();
+    let server = SqlServer::open_with_storage(
+        storage,
+        relsql::DurabilityConfig {
+            fsync: relsql::FsyncPolicy::Always,
+            checkpoint_bytes: 0,
+        },
+        relsql::EngineConfig::default(),
+    )
+    .unwrap();
+    let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
+    let client = agent.client("sentineldb", "sharma");
+    for sql in [
+        "create table stock (symbol varchar(10), price float)",
+        "create table versioned (a int, vNo int)",
+        "create trigger t1 on stock for insert event addStk as print 'a'",
+        "create trigger t2 on stock for delete event delStk as print 'd'",
+        "create table sentineldb.sharma.updStk_inserted (a int)",
+        "create procedure sentineldb.sharma.t9__Proc as print 'mine'",
+        "create table other (a int)",
+        "create hash index sentineldb.sharma.idx_inserted_vix on other (a)",
+        "create trigger sentineldb.sharma.ev__evtrig on other for insert as print 'mine'",
+    ] {
+        client.execute(sql).unwrap();
+    }
+    // Duplicate trigger, duplicate event, watched slot, unknown constituent,
+    // missing saga step, malformed composite, each generated name already
+    // taken (shadow table, action procedure, index, native trigger), a table
+    // that cannot be shadowed, a missing table, an event still in use.
+    for sql in [
+        "create trigger t1 event addStk as print 'x'",
+        "create trigger t8 on stock for update event addStk as print 'x'",
+        "create trigger t8 on stock for insert event other as print 'x'",
+        "create trigger t8 event c = addStk ; ghost as print 'x'",
+        "create trigger t8 on stock for update event e8 as saga step p_missing",
+        "create trigger t8 event c = addStk ^ ^ delStk as print 'x'",
+        "create trigger t8 on stock for update event updStk as print 'x'",
+        "create trigger t9 event addStk as print 'x'",
+        "create trigger t8 on stock for update event idx as print 'x'",
+        "create trigger t8 on stock for update event ev as print 'x'",
+        "create trigger t8 on versioned for insert event e8 as print 'x'",
+        "create trigger t8 on nosuch for insert event e8 as print 'x'",
+        "drop event addStk",
+    ] {
+        let before = footprint(&agent);
+        let (internal, wal) = {
+            let s = agent.stats();
+            (s["gateway_internal"], s["wal_records"])
+        };
+        let err = client.execute(sql).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AgentError::Naming(_) | AgentError::Snoop(_) | AgentError::EcaSyntax(_)
+            ),
+            "{sql}: {err}"
+        );
+        let s = agent.stats();
+        assert_eq!(s["gateway_internal"], internal, "{sql}: no batch sent");
+        assert_eq!(s["wal_records"], wal, "{sql}: nothing logged");
+        assert_eq!(footprint(&agent), before, "{sql}: nothing changed");
+    }
+}
+
+#[test]
+fn failed_creations_of_every_form_leave_nothing_behind() {
+    // Each broken command fails only in the server (or at a saga step
+    // lookup); none may leave a row, a tmp table, a procedure or a
+    // registration behind, and its corrected form must then work.
+    let (agent, client) = setup();
+    for sql in [
+        "create table audit (note varchar(10))",
+        "create procedure sentineldb.sharma.p_audit as insert audit values ('ts')",
+        "create trigger t1 on stock for insert event addStk as print 'a'",
+    ] {
+        client.execute(sql).unwrap();
+    }
+    for (name, broken, fixed) in [
+        (
+            "t2", // Figure 10, native
+            "create trigger t2 event addStk as frobnicate nonsense",
+            "create trigger t2 event addStk as insert audit values ('t2')",
+        ),
+        (
+            "t3", // Figure 10, LED
+            "create trigger t3 event addStk DEFERRED as select * from stock.inserted where",
+            "create trigger t3 event addStk DEFERRED as insert audit values ('t3')",
+        ),
+        (
+            "ts", // saga
+            "create trigger ts on stock for update event upd as saga step p_audit step p_gone",
+            "create trigger ts on stock for update event upd as saga step p_audit",
+        ),
+        (
+            "tc", // Figure 12, reading `stock.inserted`
+            "create trigger tc event cc = addStk ; addStk as select * from stock.inserted where",
+            "create trigger tc event cc = addStk ; addStk as insert audit select symbol from stock.inserted",
+        ),
+    ] {
+        let before = footprint(&agent);
+        assert!(client.execute(broken).is_err(), "{broken}");
+        assert_eq!(footprint(&agent), before, "{broken}");
+        client.execute(fixed).unwrap();
+        for sql in [
+            &format!("insert stock values ('{name}', 1.0)"),
+            &format!("insert stock values ('{name}', 1.0)"),
+            "update stock set price = 2.0",
+            "begin tran commit",
+        ] {
+            client.execute(sql).unwrap();
+        }
+        let r = client
+            .execute(&format!("select count(*) from audit where note = '{name}'"))
+            .unwrap();
+        assert!(
+            matches!(r.server.scalar(), Some(relsql::Value::Int(n)) if *n > 0),
+            "{fixed} fires"
+        );
+    }
+}

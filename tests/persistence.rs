@@ -499,3 +499,33 @@ fn eca_agent_open_recovers_from_a_real_data_dir() {
     assert_eq!(r.server.scalar(), Some(&Value::Int(1)));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn clean_restart_issues_no_ddl() {
+    // Recovery regenerates a native trigger only where the catalog's text
+    // differs from the persisted rule set; on a consistent catalog a
+    // restart sends nothing at all.
+    let storage = relsql::FaultyStorage::new();
+    let triggers = |server: &Arc<SqlServer>| {
+        let snap = server.snapshot();
+        let defs: Vec<String> = snap
+            .database()
+            .trigger_defs()
+            .iter()
+            .map(|t| format!("{} {}", t.name, t.body_src))
+            .collect();
+        defs
+    };
+    let before = {
+        let server = durable_server(&storage);
+        build_rules(&server);
+        triggers(&server)
+    };
+    let server = durable_server(&storage);
+    let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
+    assert_eq!(agent.trigger_names().len(), 3);
+    let stats = agent.stats();
+    assert_eq!(stats["gateway_internal"], 0, "no batch sent on restart");
+    assert_eq!(stats["wal_records"], 0, "nothing logged on restart");
+    assert_eq!(triggers(&server), before);
+}
