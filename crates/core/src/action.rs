@@ -3,13 +3,16 @@
 //! The Rust analogue of the paper's `SybaseAction`/`NotiStr` machinery:
 //! when the LED fires a rule, an [`ActionRequest`] (the `NotiStr` fields —
 //! stored procedure, event name, context) plus the occurrence is executed
-//! against the SQL server: first the `sysContext` rows are refreshed from
-//! the occurrence's parameter list, then the trigger's stored procedure
-//! runs. DETACHED actions get their own thread, exactly as the paper
-//! spawns a thread per `SybaseAction` call.
+//! against the SQL server as **one batch**: the `sysContext` refresh from
+//! the occurrence's parameter list, then `execute` of the trigger's stored
+//! procedure. One batch makes the two atomic against other firings and
+//! costs one WAL record on a durable server. DETACHED actions get their
+//! own thread, exactly as the paper spawns a thread per `SybaseAction`
+//! call.
 //!
 //! On top of the paper's fire-and-forget execution this handler layers a
-//! reliability pipeline: transiently failing actions are retried under a
+//! reliability pipeline, shared with saga steps through one attempt path
+//! ([`BatchRunner`]): transiently failing actions are retried under a
 //! configurable [`RetryPolicy`] (exponential backoff with deterministic
 //! jitter, optional per-attempt wall-clock timeout), panicking action
 //! paths are caught and reported as failed outcomes instead of unwinding
@@ -38,6 +41,7 @@ use crate::codegen::sql_quote;
 use crate::context_proc::sys_context_sql;
 use crate::error::Result;
 use crate::gateway::Gateway;
+use crate::registry::TriggerInfo;
 use crate::saga::{
     encode_params, occurrence_vno, SagaDisposition, SagaExecutor, SagaRun, SagaSpec,
 };
@@ -60,14 +64,14 @@ pub struct ActionRequest {
 }
 
 impl ActionRequest {
-    pub fn from_firing(firing: &Firing, proc_name: impl Into<String>) -> Self {
+    pub fn from_firing(firing: &Firing, trigger: &TriggerInfo) -> Self {
         ActionRequest {
-            proc_name: proc_name.into(),
+            proc_name: trigger.proc_name.clone(),
             event: firing.event.clone(),
             context: firing.context,
             rule: firing.rule.clone(),
             occurrence: firing.occurrence.clone(),
-            saga: None,
+            saga: trigger.saga.clone(),
         }
     }
 }
@@ -196,13 +200,92 @@ struct DetachedHandle {
     event: String,
 }
 
-/// Executes actions; detached ones on their own threads.
-pub struct ActionHandler {
+/// The one attempt path: a single-procedure action and every saga step or
+/// compensation is one server batch run here under the retry policy, with
+/// the shared fault injector, the per-attempt deadline and panic capture.
+pub(crate) struct BatchRunner {
     gateway: Arc<Gateway>,
     /// Identity the action SQL runs under.
     session: SessionCtx,
     policy: RetryPolicy,
-    injector: Arc<Mutex<Option<FaultInjector>>>,
+    injector: Mutex<Option<FaultInjector>>,
+    retries: AtomicU64,
+}
+
+impl BatchRunner {
+    /// Run `sql` as one batch until an attempt succeeds or the policy's
+    /// budget is spent (then the last error is returned), backing off
+    /// between attempts. `attempts` counts every attempt made.
+    pub(crate) fn run(
+        &self,
+        request: &ActionRequest,
+        sql: &str,
+        attempts: &mut u32,
+    ) -> std::result::Result<BatchResult, String> {
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            *attempts += 1;
+            let err = match self.attempt(request, attempt, sql) {
+                Ok(batch) => return Ok(batch),
+                Err(e) => e,
+            };
+            if attempt >= self.policy.max_attempts.max(1) {
+                return Err(err);
+            }
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            let delay = self.policy.backoff_after(&request.rule, attempt);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+        }
+    }
+
+    /// One attempt: fault injection, then the batch (under the per-attempt
+    /// deadline when one is configured), with panics caught and converted
+    /// into ordinary errors. The injector runs inside the timed region: a
+    /// hung dependency (simulated by a sleeping injector) counts against
+    /// the deadline.
+    fn attempt(
+        &self,
+        request: &ActionRequest,
+        attempt: u32,
+        sql: &str,
+    ) -> std::result::Result<BatchResult, String> {
+        let injector = self.injector.lock().clone();
+        let run =
+            move |gateway: &Gateway, session: &SessionCtx, request: &ActionRequest, sql: &str| {
+                if let Some(err) = injector
+                    .as_ref()
+                    .and_then(|inject| inject(request, attempt))
+                {
+                    return Err(err);
+                }
+                gateway.internal(sql, session).map_err(|e| e.to_string())
+            };
+        match self.policy.attempt_timeout {
+            None => catch_unwind(AssertUnwindSafe(|| {
+                run(&self.gateway, &self.session, request, sql)
+            }))
+            .unwrap_or_else(|panic| Err(panic_message(panic))),
+            Some(t) => {
+                let (gateway, session) = (Arc::clone(&self.gateway), self.session.clone());
+                let (request, sql) = (request.clone(), sql.to_string());
+                run_with_timeout(t, move || run(&gateway, &session, &request, &sql))
+            }
+        }
+    }
+
+    /// Agent bookkeeping (journal rows and reads, the dead-letter mirror):
+    /// one batch, outside the injector and the retry policy.
+    pub(crate) fn internal(&self, sql: &str) -> Result<BatchResult> {
+        self.gateway.internal(sql, &self.session)
+    }
+}
+
+/// Executes actions; detached ones on their own threads.
+pub struct ActionHandler {
+    runner: Arc<BatchRunner>,
     saga: SagaExecutor,
     detached: Mutex<Vec<DetachedHandle>>,
     detached_outcomes: Arc<Mutex<Vec<ActionOutcome>>>,
@@ -210,7 +293,6 @@ pub struct ActionHandler {
     /// When set (durable agents), dead letters are mirrored into the
     /// `SysDeadLetter` table so they survive a cold restart.
     durable_dlq: AtomicBool,
-    retries: Arc<AtomicU64>,
     dead_lettered: AtomicU64,
 }
 
@@ -220,30 +302,23 @@ impl ActionHandler {
     }
 
     pub fn with_policy(gateway: Arc<Gateway>, policy: RetryPolicy) -> Self {
-        // Live reads: action/saga batches react to datagrams enqueued
-        // mid-batch, before the triggering batch publishes its MVCC
-        // versions, so their reads must see live rows (see `SessionCtx`).
-        let session = SessionCtx::new("master", "eca_agent").with_live_reads();
-        let injector: Arc<Mutex<Option<FaultInjector>>> = Arc::new(Mutex::new(None));
-        let retries = Arc::new(AtomicU64::new(0));
-        let saga = SagaExecutor::new(
-            Arc::clone(&gateway),
-            session.clone(),
-            policy.clone(),
-            Arc::clone(&injector),
-            Arc::clone(&retries),
-        );
-        ActionHandler {
+        let runner = Arc::new(BatchRunner {
             gateway,
-            session,
+            // Live reads: action/saga batches react to datagrams enqueued
+            // mid-batch, before the triggering batch publishes its MVCC
+            // versions, so their reads must see live rows (see `SessionCtx`).
+            session: SessionCtx::new("master", "eca_agent").with_live_reads(),
             policy,
-            injector,
-            saga,
+            injector: Mutex::new(None),
+            retries: AtomicU64::new(0),
+        });
+        ActionHandler {
+            saga: SagaExecutor::new(Arc::clone(&runner)),
+            runner,
             detached: Mutex::new(Vec::new()),
             detached_outcomes: Arc::new(Mutex::new(Vec::new())),
             dead_letters: Mutex::new(Vec::new()),
             durable_dlq: AtomicBool::new(false),
-            retries,
             dead_lettered: AtomicU64::new(0),
         }
     }
@@ -251,7 +326,7 @@ impl ActionHandler {
     /// Install (or clear) the per-attempt fault injector (shared with the
     /// saga executor).
     pub fn set_fault_injector(&self, injector: Option<FaultInjector>) {
-        *self.injector.lock() = injector;
+        *self.runner.injector.lock() = injector;
     }
 
     /// The saga executor (crash hook installation, counters, journal
@@ -272,47 +347,26 @@ impl ActionHandler {
     /// Saga-valued requests route to the saga executor.
     pub fn execute(&self, request: &ActionRequest, coupling: CouplingMode) -> ActionOutcome {
         if let Some(spec) = &request.saga {
-            return self.execute_saga(request, &Arc::clone(spec), coupling);
+            return self.execute_saga(request, spec, coupling);
         }
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        let mut last_err;
-        loop {
-            attempt += 1;
-            match self.attempt(request, attempt) {
-                Ok(batch) => {
-                    return ActionOutcome {
-                        rule: request.rule.clone(),
-                        event: request.event.clone(),
-                        coupling,
-                        attempts: attempt,
-                        result: Ok(batch),
-                        saga: None,
-                    }
-                }
-                Err(e) => last_err = e,
-            }
-            if attempt >= max_attempts {
-                break;
-            }
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            let delay = self.policy.backoff_after(&request.rule, attempt);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
+        let mut attempts = 0;
+        let result = self
+            .runner
+            .run(request, &action_batch(request), &mut attempts);
+        if let Err(error) = &result {
+            self.dead_letter(DeadLetter {
+                request: request.clone(),
+                coupling,
+                error: error.clone(),
+                attempts,
+            });
         }
-        self.dead_letter(DeadLetter {
-            request: request.clone(),
-            coupling,
-            error: last_err.clone(),
-            attempts: attempt,
-        });
         ActionOutcome {
             rule: request.rule.clone(),
             event: request.event.clone(),
             coupling,
-            attempts: attempt,
-            result: Err(last_err),
+            attempts,
+            result,
             saga: None,
         }
     }
@@ -323,7 +377,7 @@ impl ActionHandler {
     fn execute_saga(
         &self,
         request: &ActionRequest,
-        spec: &Arc<SagaSpec>,
+        spec: &SagaSpec,
         coupling: CouplingMode,
     ) -> ActionOutcome {
         let run = SagaRun {
@@ -332,7 +386,7 @@ impl ActionHandler {
             vno: occurrence_vno(&request.occurrence),
             spec,
             occurrence: request.occurrence.clone(),
-            context_sql: Some(sys_context_sql(&request.occurrence, request.context)),
+            context: request.context,
             coupling,
         };
         let outcome = self.saga.execute(&run);
@@ -377,53 +431,9 @@ impl ActionHandler {
         if self.durable_dlq.load(Ordering::Relaxed) {
             // Best effort: a failed mirror write must not mask the action
             // error itself (the in-memory queue still holds the letter).
-            let _ = self
-                .gateway
-                .internal(&dead_letter_insert_sql(&dl), &self.session);
+            let _ = self.runner.internal(&dead_letter_insert_sql(&dl));
         }
         self.dead_letters.lock().push(dl);
-    }
-
-    /// One attempt: fault injection, then the real SQL (under the
-    /// per-attempt deadline when one is configured), with panics caught
-    /// and converted into ordinary errors.
-    fn attempt(
-        &self,
-        request: &ActionRequest,
-        attempt: u32,
-    ) -> std::result::Result<BatchResult, String> {
-        let injector = self.injector.lock().clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // The injector runs inside the timed region: a hung dependency
-            // (simulated by a sleeping injector) counts against the deadline.
-            match self.policy.attempt_timeout {
-                None => {
-                    if let Some(inject) = &injector {
-                        if let Some(err) = inject(request, attempt) {
-                            return Err(err);
-                        }
-                    }
-                    run_action(&self.gateway, &self.session, request).map_err(|e| e.to_string())
-                }
-                Some(t) => {
-                    let gw = Arc::clone(&self.gateway);
-                    let sess = self.session.clone();
-                    let req = request.clone();
-                    run_with_timeout(t, move || {
-                        if let Some(inject) = &injector {
-                            if let Some(err) = inject(&req, attempt) {
-                                return Err(err);
-                            }
-                        }
-                        run_action(&gw, &sess, &req).map_err(|e| e.to_string())
-                    })
-                }
-            }
-        }));
-        match outcome {
-            Ok(r) => r,
-            Err(panic) => Err(panic_message(panic)),
-        }
     }
 
     /// Execute an action on its own thread (DETACHED coupling). The outcome
@@ -487,7 +497,7 @@ impl ActionHandler {
     pub fn requeue_dead_letters(&self) -> Vec<ActionOutcome> {
         let letters: Vec<DeadLetter> = std::mem::take(&mut *self.dead_letters.lock());
         if self.durable_dlq.load(Ordering::Relaxed) && !letters.is_empty() {
-            let _ = self.gateway.internal("delete SysDeadLetter", &self.session);
+            let _ = self.runner.internal("delete SysDeadLetter");
         }
         letters
             .into_iter()
@@ -498,7 +508,7 @@ impl ActionHandler {
     /// Retries performed (attempts beyond the first, across all actions
     /// and saga steps).
     pub fn retry_count(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.runner.retries.load(Ordering::Relaxed)
     }
 
     /// Actions dead-lettered (cumulative; requeued failures count again).
@@ -507,63 +517,13 @@ impl ActionHandler {
     }
 }
 
-/// The single-procedure action body (steps 3–4 of §5.6): refresh
-/// `sysContext` from the LED's parameter list, then run the stored
-/// procedure (context join + action).
-fn run_action(
-    gateway: &Gateway,
-    session: &SessionCtx,
-    request: &ActionRequest,
-) -> Result<BatchResult> {
-    let ctx_sql = sys_context_sql(&request.occurrence, request.context);
-    if !ctx_sql.is_empty() {
-        gateway.internal(&ctx_sql, session)?;
-    }
-    gateway.internal(&format!("execute {}", request.proc_name), session)
-}
-
-/// One saga step/compensation attempt: fault injection, then the step's
-/// `EXECUTE` + journal-row batch as a single server call (one WAL record),
-/// under the per-attempt deadline. Panics are caught here — the saga
-/// crash hook fires *outside* this function, so chaos-induced process
-/// death still unwinds the whole executor.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attempt_batch(
-    gateway: &Arc<Gateway>,
-    session: &SessionCtx,
-    injector: Option<FaultInjector>,
-    request: &ActionRequest,
-    attempt: u32,
-    timeout: Option<Duration>,
-    sql: String,
-) -> std::result::Result<BatchResult, String> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match timeout {
-        None => {
-            if let Some(inject) = &injector {
-                if let Some(err) = inject(request, attempt) {
-                    return Err(err);
-                }
-            }
-            gateway.internal(&sql, session).map_err(|e| e.to_string())
-        }
-        Some(t) => {
-            let gw = Arc::clone(gateway);
-            let sess = session.clone();
-            let req = request.clone();
-            run_with_timeout(t, move || {
-                if let Some(inject) = &injector {
-                    if let Some(err) = inject(&req, attempt) {
-                        return Err(err);
-                    }
-                }
-                gw.internal(&sql, &sess).map_err(|e| e.to_string())
-            })
-        }
-    }));
-    match outcome {
-        Ok(r) => r,
-        Err(panic) => Err(panic_message(panic)),
-    }
+/// The single-procedure action as one batch (steps 3–4 of §5.6): the
+/// `sysContext` refresh, then the procedure. The server runs a batch under
+/// one lock group (or the exclusive WAL lane) from start to end, so no
+/// other firing's refresh can land between the two, and a durable firing
+/// appends one WAL record.
+fn action_batch(request: &ActionRequest) -> String {
+    sys_context_sql(&request.occurrence, request.context) + "execute " + &request.proc_name
 }
 
 /// Run `f` on a worker thread and give up after `timeout`. An abandoned
@@ -571,7 +531,7 @@ pub(crate) fn attempt_batch(
 /// engine has no statement kill switch) — its effects, if any, land under
 /// the same idempotency protections as a crash, and the worker's result
 /// is discarded.
-pub(crate) fn run_with_timeout(
+fn run_with_timeout(
     timeout: Duration,
     f: impl FnOnce() -> std::result::Result<BatchResult, String> + Send + 'static,
 ) -> std::result::Result<BatchResult, String> {
@@ -589,7 +549,7 @@ pub(crate) fn run_with_timeout(
     }
 }
 
-pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         format!("action panicked: {s}")
     } else if let Some(s) = panic.downcast_ref::<String>() {

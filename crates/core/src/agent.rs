@@ -1135,15 +1135,10 @@ impl EcaAgent {
 
     fn dispatch(&self, firings: Vec<Firing>, resp: &mut AgentResponse) -> Result<()> {
         for firing in firings {
-            let (proc_name, saga) = {
-                let registry = self.inner.registry.lock();
-                match registry.trigger(&firing.rule) {
-                    Some(t) => (t.proc_name.clone(), t.saga.clone()),
-                    None => continue,
-                }
+            let request = match self.inner.registry.lock().trigger(&firing.rule) {
+                Some(t) => ActionRequest::from_firing(&firing, t),
+                None => continue,
             };
-            let mut request = ActionRequest::from_firing(&firing, proc_name);
-            request.saga = saga;
             self.inner
                 .counters
                 .actions_executed

@@ -9,6 +9,9 @@
 //!    SQL,
 //! 4. the action procedure joins `sysContext` with the shadow tables to
 //!    materialize the context tmp tables (generated in `codegen`).
+//!
+//! The Action Handler runs steps 3 and 4 as one server batch (see
+//! `action.rs`), so no other firing can rewrite the rows between them.
 
 use led::{Occurrence, ParameterContext};
 

@@ -32,17 +32,17 @@
 //! post-recovery statements see different virtual-clock values.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use led::{CouplingMode, Occurrence};
+use led::{CouplingMode, Occurrence, ParameterContext};
 use relsql::sync::Mutex;
-use relsql::{BatchResult, SessionCtx, Value};
+use relsql::{BatchResult, Value};
 
-use crate::action::{attempt_batch, ActionOutcome, ActionRequest, FaultInjector, RetryPolicy};
+use crate::action::{ActionOutcome, ActionRequest, BatchRunner};
 use crate::codegen::sql_quote;
+use crate::context_proc::sys_context_sql;
 use crate::error::{EcaError, Result};
-use crate::gateway::Gateway;
 
 /// One forward step and its optional compensation, both user-created
 /// stored procedures (internal names).
@@ -343,40 +343,28 @@ pub struct SagaRun<'a> {
     pub event: &'a str,
     pub vno: i64,
     pub spec: &'a SagaSpec,
+    /// The firing's occurrence; a fresh instance refreshes `sysContext`
+    /// from it in the batch that journals `started` (a resumed saga's
+    /// context rows are already durable).
     pub occurrence: Occurrence,
-    /// `sysContext` refresh SQL, run only when the journal shows a fresh
-    /// instance (a resumed saga's context rows are already durable).
-    pub context_sql: Option<String>,
+    pub context: ParameterContext,
     pub coupling: CouplingMode,
 }
 
-/// Executes sagas against the server through the gateway. Owned by the
-/// [`crate::action::ActionHandler`]; shares its fault injector and retry
-/// counter so chaos hooks and `STATS` cover saga steps too.
+/// Executes sagas against the server. Owned by the
+/// [`crate::action::ActionHandler`]; every step and compensation goes
+/// through the handler's attempt path, so the fault injector, the retry
+/// policy and `STATS` cover saga steps too.
 pub struct SagaExecutor {
-    gateway: Arc<Gateway>,
-    session: SessionCtx,
-    policy: RetryPolicy,
-    injector: Arc<Mutex<Option<FaultInjector>>>,
-    retries: Arc<AtomicU64>,
+    runner: Arc<BatchRunner>,
     crash: Mutex<Option<SagaCrashHook>>,
     counters: SagaCounters,
 }
 
 impl SagaExecutor {
-    pub fn new(
-        gateway: Arc<Gateway>,
-        session: SessionCtx,
-        policy: RetryPolicy,
-        injector: Arc<Mutex<Option<FaultInjector>>>,
-        retries: Arc<AtomicU64>,
-    ) -> Self {
+    pub(crate) fn new(runner: Arc<BatchRunner>) -> Self {
         SagaExecutor {
-            gateway,
-            session,
-            policy,
-            injector,
-            retries,
+            runner,
             crash: Mutex::new(None),
             counters: SagaCounters::default(),
         }
@@ -411,14 +399,11 @@ impl SagaExecutor {
 
     /// Journal rows of one saga instance, in insertion order.
     pub fn journal_rows(&self, key: &str) -> Result<Vec<SagaJournalRow>> {
-        let r = self.gateway.internal(
-            &format!(
-                "select sagaKey, triggerName, eventName, vNo, stepIdx, phase, state, idemKey \
-                 from SysSagaJournal where sagaKey = {}",
-                sql_quote(key)
-            ),
-            &self.session,
-        )?;
+        let r = self.runner.internal(&format!(
+            "select sagaKey, triggerName, eventName, vNo, stepIdx, phase, state, idemKey \
+             from SysSagaJournal where sagaKey = {}",
+            sql_quote(key)
+        ))?;
         let rows = match r.last_select() {
             Some(q) => &q.rows,
             None => return Ok(Vec::new()),
@@ -446,22 +431,11 @@ impl SagaExecutor {
                 self.outcome_ok(run, 0, Some(SagaDisposition::AlreadySettled))
             }
             SagaPlan::Fresh => {
-                if let Some(ctx_sql) = &run.context_sql {
-                    if !ctx_sql.is_empty() {
-                        if let Err(e) = self.gateway.internal(ctx_sql, &self.session) {
-                            return self.outcome_err(
-                                run,
-                                attempts,
-                                format!("saga context refresh: {e}"),
-                                None,
-                            );
-                        }
-                    }
-                }
                 self.counters.sagas_started.fetch_add(1, Ordering::Relaxed);
                 self.check_crash(&key, PHASE_SAGA, -1, false);
-                if let Err(e) = self.gateway.internal(
-                    &journal_insert_sql(
+                // The context refresh and the `started` row: one batch.
+                let start = sys_context_sql(&run.occurrence, run.context)
+                    + &journal_insert_sql(
                         &key,
                         run.rule,
                         run.event,
@@ -469,9 +443,8 @@ impl SagaExecutor {
                         -1,
                         PHASE_SAGA,
                         STATE_STARTED,
-                    ),
-                    &self.session,
-                ) {
+                    );
+                if let Err(e) = self.runner.internal(&start) {
                     return self.outcome_err(run, attempts, format!("saga journal: {e}"), None);
                 }
                 self.check_crash(&key, PHASE_SAGA, -1, true);
@@ -524,18 +497,15 @@ impl SagaExecutor {
                     // Journal the failure marker so a crash from here on
                     // resumes into compensation, not a forward retry.
                     self.check_crash(key, PHASE_FORWARD, i, false);
-                    if let Err(je) = self.gateway.internal(
-                        &journal_insert_sql(
-                            key,
-                            run.rule,
-                            run.event,
-                            run.vno,
-                            i,
-                            PHASE_FORWARD,
-                            STATE_FAILED,
-                        ),
-                        &self.session,
-                    ) {
+                    if let Err(je) = self.runner.internal(&journal_insert_sql(
+                        key,
+                        run.rule,
+                        run.event,
+                        run.vno,
+                        i,
+                        PHASE_FORWARD,
+                        STATE_FAILED,
+                    )) {
                         return self.outcome_err(
                             run,
                             *attempts,
@@ -551,18 +521,15 @@ impl SagaExecutor {
             }
         }
         self.check_crash(key, PHASE_SAGA, -1, false);
-        if let Err(e) = self.gateway.internal(
-            &journal_insert_sql(
-                key,
-                run.rule,
-                run.event,
-                run.vno,
-                -1,
-                PHASE_SAGA,
-                STATE_COMMITTED,
-            ),
-            &self.session,
-        ) {
+        if let Err(e) = self.runner.internal(&journal_insert_sql(
+            key,
+            run.rule,
+            run.event,
+            run.vno,
+            -1,
+            PHASE_SAGA,
+            STATE_COMMITTED,
+        )) {
             return self.outcome_err(run, *attempts, format!("saga commit journal: {e}"), None);
         }
         self.check_crash(key, PHASE_SAGA, -1, true);
@@ -629,18 +596,15 @@ impl SagaExecutor {
             }
         }
         self.check_crash(key, PHASE_SAGA, -1, false);
-        if let Err(e) = self.gateway.internal(
-            &journal_insert_sql(
-                key,
-                run.rule,
-                run.event,
-                run.vno,
-                -1,
-                PHASE_SAGA,
-                STATE_COMPENSATED,
-            ),
-            &self.session,
-        ) {
+        if let Err(e) = self.runner.internal(&journal_insert_sql(
+            key,
+            run.rule,
+            run.event,
+            run.vno,
+            -1,
+            PHASE_SAGA,
+            STATE_COMPENSATED,
+        )) {
             return self.outcome_err(
                 run,
                 *attempts,
@@ -666,8 +630,9 @@ impl SagaExecutor {
     }
 
     /// One step or compensation: the `EXECUTE proc` + journal-done row as
-    /// a single batch (one WAL record), under the retry policy with the
-    /// shared fault injector and per-attempt timeout.
+    /// a single batch (one WAL record), through the handler's attempt path.
+    /// The crash hook fires outside the attempt, whose panic capture would
+    /// otherwise swallow it, so an injected crash unwinds the executor.
     fn run_unit(
         &self,
         run: &SagaRun<'_>,
@@ -686,44 +651,15 @@ impl SagaExecutor {
         let request = ActionRequest {
             proc_name: proc.to_string(),
             event: run.event.to_string(),
-            context: led::ParameterContext::Recent,
+            context: run.context,
             rule: run.rule.to_string(),
             occurrence: run.occurrence.clone(),
             saga: None,
         };
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
         self.check_crash(key, phase, step, false);
-        loop {
-            attempt += 1;
-            *attempts += 1;
-            let injector = self.injector.lock().clone();
-            let result = attempt_batch(
-                &self.gateway,
-                &self.session,
-                injector,
-                &request,
-                attempt,
-                self.policy.attempt_timeout,
-                batch.clone(),
-            );
-            match result {
-                Ok(_) => {
-                    self.check_crash(key, phase, step, true);
-                    return Ok(());
-                }
-                Err(e) => {
-                    if attempt >= max_attempts {
-                        return Err(e);
-                    }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    let delay = self.policy.backoff_after(run.rule, attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-            }
-        }
+        self.runner.run(&request, &batch, attempts)?;
+        self.check_crash(key, phase, step, true);
+        Ok(())
     }
 
     fn outcome_ok(

@@ -647,3 +647,58 @@ fn bounded_detector_queue_stays_exactly_once() {
     // this can legitimately be zero, so only check it is recorded sanely.
     assert!(stats["notify_overflows"] <= 200);
 }
+
+#[test]
+fn concurrent_firings_each_see_their_own_context() {
+    // A firing's `sysContext` refresh and the action procedure that joins
+    // it run as one batch, so a second client's firing cannot overwrite
+    // the rows between them: every CHRONICLE pairing sees exactly its own
+    // initiator.
+    let server = SqlServer::new();
+    let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
+    let setup = agent.client("db", "u");
+    setup.execute("create table a (x int)").unwrap();
+    setup.execute("create table b (y int)").unwrap();
+    setup.execute("create table seen (x int)").unwrap();
+    setup
+        .execute("create trigger t1 on a for insert event ea as print 'ea'")
+        .unwrap();
+    setup
+        .execute("create trigger t2 on b for insert event eb as print 'eb'")
+        .unwrap();
+    setup
+        .execute(
+            "create trigger t3 event pair = ea ; eb CHRONICLE \
+             as insert seen select x from a.inserted",
+        )
+        .unwrap();
+    for x in 1..=400 {
+        setup.execute(&format!("insert a values ({x})")).unwrap();
+    }
+    let handles: Vec<_> = (0..2)
+        .map(|k| {
+            let client = agent.client("db", &format!("w{k}"));
+            std::thread::spawn(move || {
+                for i in 0..200 {
+                    client.execute(&format!("insert b values ({i})")).unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let r = setup.execute("select x from seen order by x").unwrap();
+    let seen: Vec<i64> = r
+        .server
+        .last_select()
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| match &row[0] {
+            Value::Int(n) => *n,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(seen, (1..=400).collect::<Vec<i64>>());
+}

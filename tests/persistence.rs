@@ -529,3 +529,99 @@ fn clean_restart_issues_no_ddl() {
     assert_eq!(stats["wal_records"], 0, "nothing logged on restart");
     assert_eq!(triggers(&server), before);
 }
+
+/// `sysContext` rows, sorted.
+fn sys_context_rows(server: &Arc<SqlServer>) -> Vec<Vec<Value>> {
+    let mut rows = server
+        .snapshot()
+        .database()
+        .table("syscontext")
+        .unwrap()
+        .rows()
+        .to_vec();
+    rows.sort_by_key(|r| format!("{r:?}"));
+    rows
+}
+
+/// One round of firings on the rules of `one_batch_per_firing_*`: every
+/// firing adds exactly one agent batch and one WAL record to what its
+/// statement costs without one (the statement's own record plus its
+/// event's watermark), and each firing's refresh replaces the `sysContext`
+/// rows of its own shadow tables only.
+fn assert_one_batch_per_firing(agent: &EcaAgent, server: &Arc<SqlServer>, round: i64) {
+    let client = agent.client("db", "u");
+    let counts = || {
+        let s = agent.stats();
+        (
+            s["gateway_internal"],
+            s["wal_records"],
+            s["actions_executed"],
+        )
+    };
+    let run = |sql: String| {
+        let before = counts();
+        client.execute(&sql).unwrap();
+        let after = counts();
+        let (internal, wal, fired) = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+        assert_eq!(internal, fired, "{sql}: one agent batch per firing");
+        assert_eq!(wal, 2 + fired, "{sql}: one WAL record per firing");
+        fired
+    };
+    assert_eq!(run(format!("insert a values ({round})")), 0);
+    assert_eq!(run(format!("insert b values ({round})")), 1);
+    let seq_rows = sys_context_rows(server)
+        .into_iter()
+        .filter(|r| matches!(&r[0], Value::Str(t) if t.starts_with("db.u.ea_") || t.starts_with("db.u.eb_")))
+        .collect::<Vec<_>>();
+    assert_eq!(seq_rows.len(), 2, "the SEQ firing refreshed both shadows");
+    run(format!("insert c values ({round})"));
+    assert!(run(format!("insert d values ({round})")) >= 1);
+    let rows = sys_context_rows(server);
+    assert_eq!(rows.len(), 4, "the AND firing added its own two shadows");
+    assert!(
+        seq_rows.iter().all(|r| rows.contains(r)),
+        "the AND firing left the SEQ firing's rows alone"
+    );
+    let r = client.execute("select x from seen order by x").unwrap();
+    let seen: Vec<Value> = r.server.last_select().unwrap().rows.concat();
+    assert_eq!(seen, (1..=round).map(Value::Int).collect::<Vec<_>>());
+}
+
+#[test]
+fn one_batch_per_firing_before_and_after_reopen() {
+    let storage = relsql::FaultyStorage::new();
+    {
+        let server = durable_server(&storage);
+        let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
+        let client = agent.client("db", "u");
+        for t in ["a", "b", "c", "d"] {
+            client
+                .execute(&format!("create table {t} (x int)"))
+                .unwrap();
+            client
+                .execute(&format!(
+                    "create trigger t{t} on {t} for insert event e{t} as print '{t}'"
+                ))
+                .unwrap();
+        }
+        client.execute("create table seen (x int)").unwrap();
+        client.execute("create table audit (n int)").unwrap();
+        client
+            .execute(
+                "create trigger t_seq event pair = ea ; eb CHRONICLE \
+                 as insert seen select x from a.inserted",
+            )
+            .unwrap();
+        client
+            .execute(
+                "create trigger t_and event both = ec ^ ed RECENT \
+                 as insert audit values (1)",
+            )
+            .unwrap();
+        assert_one_batch_per_firing(&agent, &server, 1);
+    }
+    // Reopen: the recovered rules take the same one-batch path.
+    let server = durable_server(&storage);
+    let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
+    assert_one_batch_per_firing(&agent, &server, 2);
+}
