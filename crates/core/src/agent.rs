@@ -280,8 +280,8 @@ struct Inner {
     /// Serializes ECA commands from plan to activation.
     define_lock: Mutex<()>,
     counters: AgentCounters,
-    /// Last observed value of the combined loss signal (engine rollbacks +
-    /// channel overflows + malformed datagrams + chaos faults). The
+    /// Last observed value of the combined loss signal (channel overflows,
+    /// malformed datagrams and chaos faults). The
     /// exactly-once pump runs its durable-counter anti-entropy sweep only
     /// when this moves — in a loss-free steady state the sweep is pure
     /// overhead and serializes disjoint-table clients on the tracker lock.
@@ -887,13 +887,11 @@ impl EcaAgent {
     }
 
     /// Combined monotonic loss signal: every path that can leave a durable
-    /// occurrence counter out of step with the admission tracker without a
-    /// matching datagram in the channel bumps one of these counters *during
-    /// the statement that caused it* (chaos faults and overflows increment
-    /// at send time, rollbacks inside the ROLLBACK statement), so by the
-    /// time that statement's own pump runs, the signal has already moved.
+    /// occurrence counter ahead of the admission tracker without a matching
+    /// datagram in the channel bumps one of these counters *during the
+    /// statement that caused it* (at send time), so by the time that
+    /// statement's own pump runs, the signal has already moved.
     fn loss_signal(&self) -> u64 {
-        let rollbacks = self.server().rollback_count();
         let chaos = self
             .inner
             .chaos
@@ -903,8 +901,9 @@ impl EcaAgent {
                 m["dropped"] + m["duplicated"] + m["reordered"] + m["delayed"]
             })
             .unwrap_or(0);
-        rollbacks
-            .wrapping_add(self.inner.sink.overflow_count())
+        self.inner
+            .sink
+            .overflow_count()
             .wrapping_add(
                 self.inner
                     .counters
@@ -956,22 +955,16 @@ impl EcaAgent {
                     }
                 }
             }
-            // Phase 2: anti-entropy against the durable counters. Also the
-            // rollback reconciliation point: a counter *below* the mark
-            // means a transaction rolled back after its datagram went out,
-            // and the tracker regresses so re-used numbers stay admissible.
-            //
-            // The durable read happens *inside* the tracker lock: with the
-            // read outside it, a concurrent admit could advance the mark
-            // between read and reconcile, making the stale counter look
-            // like a rollback and re-raising already-raised occurrences.
-            // Only tracker-seeded events are reconciled (the tracker
-            // mirrors registry membership for primitives), which keeps the
-            // registry lock out of this section — `drop_event` nests
-            // registry → tracker, so the reverse order here would deadlock.
+            // Phase 2: anti-entropy against the committed durable
+            // counters. A counter the mark has already passed (a concurrent
+            // admit got there first) repairs nothing. Only tracker-seeded
+            // events are reconciled (the tracker mirrors registry
+            // membership for primitives), which keeps the registry lock out
+            // of this section — `drop_event` nests registry → tracker, so
+            // the reverse order here would deadlock.
             //
             // The sweep is gated on the loss signal: in a loss-free steady
-            // state (no faults, no overflow, no rollback) every occurrence
+            // state (no faults, no overflow) every occurrence
             // arrives through the channel and the sweep can find nothing,
             // yet it would serialize disjoint-table clients on the tracker
             // lock and the durable read. `swap` claims the new signal value;
@@ -982,9 +975,10 @@ impl EcaAgent {
             let repairs: Vec<(String, Vec<i64>)> = if !sweep {
                 Vec::new()
             } else {
+                let durables = self.inner.persist.load_durable_vnos()?;
                 let mut tracker = self.inner.tracker.lock();
                 let mut repairs = Vec::new();
-                for (event, durable) in self.inner.persist.load_durable_vnos()? {
+                for (event, durable) in durables {
                     if tracker.hwm(&event).is_none() {
                         continue;
                     }
@@ -1306,7 +1300,8 @@ impl EcaAgent {
     /// [`EcaClient::execute`] and [`crate::service::ActiveService`]: ECA
     /// commands are interpreted by the agent, plain SQL passes through and
     /// any resulting event detections run their actions before this
-    /// returns (IMMEDIATE semantics).
+    /// returns (IMMEDIATE semantics). Occurrences raised inside an explicit
+    /// transaction are detected when its `COMMIT` batch runs.
     pub fn execute(&self, sql: &str, ctx: &SessionCtx) -> Result<AgentResponse> {
         if self.inner.draining.load(Ordering::SeqCst) {
             return Err(AgentError::Unavailable(

@@ -231,21 +231,21 @@ impl PersistentManager {
     /// there; `SysPrimitiveEvent.vNo` is the definition-time seed and the
     /// fallback when the version table is missing (e.g. a half-installed
     /// event).
-    /// Reads a [`SqlServer::snapshot`] (like `ensure_system_tables`)
-    /// instead of issuing SQL: the exactly-once pump calls this on every
-    /// anti-entropy pass, and a scheduled `select` per event would both pay
-    /// per-batch scheduling overhead and contend on the very version tables
-    /// every evented DML holds in its lock footprint — serializing the
-    /// disjoint-table batches the scheduler exists to parallelize. The
-    /// snapshot pins *live* rows (not the published MVCC versions), so a
-    /// counter bumped by a batch that has executed but not yet published is
-    /// still visible — `observe_durable` must never see a counter below a
-    /// vNo the admission tracker already admitted, or it would read the dip
-    /// as a rollback and re-fire the action.
+    ///
+    /// Reads [`SqlServer::committed_database`] instead of issuing SQL:
+    /// the exactly-once pump calls this on every anti-entropy pass, and a
+    /// scheduled `select` per event would both pay per-batch scheduling
+    /// overhead and contend on the very version tables every evented DML
+    /// holds in its lock footprint — serializing the disjoint-table batches
+    /// the scheduler exists to parallelize.
+    ///
+    /// Inside an open transaction that is its pre-image: the sweep must not
+    /// raise what a ROLLBACK may undo. Otherwise it is the *live* rows: the
+    /// loss signal moves mid-statement, before the batch publishes, and the
+    /// sweep that claims it must see the counter the lost datagram carried.
     pub fn load_durable_vnos(&self) -> Result<Vec<(String, i64)>> {
-        let snap = self.session.server().snapshot();
+        let db = self.session.server().committed_database();
         Ok({
-            let db = snap.database();
             let spe = match db.table("sysprimitiveevent") {
                 Some(t) => t,
                 None => return Ok(Vec::new()),

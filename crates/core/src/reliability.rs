@@ -105,22 +105,13 @@ impl ReliabilityTracker {
         }
     }
 
-    /// Anti-entropy: reconcile with the durable occurrence counter.
-    /// Returns the `vNo`s to synthesize, in ascending order.
-    ///
-    /// A durable counter *below* the high-water mark means a transaction
-    /// rolled back after its datagram went out (the paper's phantom
-    /// notification); the mark regresses so the re-used numbers admit as
-    /// fresh occurrences again.
+    /// Anti-entropy: reconcile with the committed durable occurrence
+    /// counter. Returns the `vNo`s to synthesize, in ascending order. The
+    /// mark never moves down: only committed occurrences are posted, so a
+    /// counter at or below it has nothing left to repair.
     pub fn observe_durable(&mut self, event: &str, durable: i64) -> Vec<i64> {
         let st = self.events.entry(event.to_string()).or_default();
-        if durable < st.hwm {
-            st.hwm = durable;
-            st.synthesized.retain(|&v| v <= durable);
-            self.dirty.insert(event.to_string());
-            return Vec::new();
-        }
-        if durable == st.hwm {
+        if durable <= st.hwm {
             return Vec::new();
         }
         let missing: Vec<i64> = (st.hwm + 1..=durable).collect();
@@ -215,16 +206,6 @@ mod tests {
         assert_eq!(t.hwm("e"), Some(3));
         assert_eq!(t.gaps_repaired(), 3);
         assert!(t.observe_durable("e", 3).is_empty(), "idempotent");
-    }
-
-    #[test]
-    fn durable_regression_resets_after_rollback() {
-        let mut t = ReliabilityTracker::new();
-        t.admit("e", 1); // phantom: the transaction rolled back
-        assert!(t.observe_durable("e", 0).is_empty());
-        assert_eq!(t.hwm("e"), Some(0));
-        // The re-used occurrence number is fresh again.
-        assert_eq!(t.admit("e", 1), Admission::Fresh { missing: vec![] });
     }
 
     #[test]

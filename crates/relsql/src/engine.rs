@@ -16,9 +16,9 @@
 //! the row mutation it describes — the row write-lock release
 //! happens-before the sink enqueue, so a consumer that reads the table in
 //! response to the notification always sees the rows for the vNo it was
-//! handed.
+//! handed. Inside an explicit transaction it is held until `COMMIT`.
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crate::sync::{Mutex, RwLock, RwLockReadGuard};
@@ -33,7 +33,7 @@ use crate::exec::{self, LoweredCache};
 use crate::index::{IndexDef, IndexKind, IndexSet};
 use crate::lexer::split_batches;
 use crate::metrics::Metrics;
-use crate::notify::NotificationSink;
+use crate::notify::{Datagram, NotificationSink};
 use crate::parser::parse_script;
 use crate::plan::{self, SlotMeta};
 use crate::table::{Row, Schema, Table};
@@ -168,11 +168,47 @@ pub struct Engine {
     db: RwLock<Database>,
     config: EngineConfig,
     clock: Arc<LogicalClock>,
-    sink: RwLock<Option<Arc<dyn NotificationSink>>>,
-    datagram_seq: AtomicU64,
-    tx_snapshot: Mutex<Option<Database>>,
-    rollbacks: AtomicU64,
+    outbox: Outbox,
     counters: ExecCounters,
+}
+
+/// The open transaction: the pre-image `ROLLBACK` restores and the datagrams
+/// `COMMIT` posts. It is engine-wide, so it owns every datagram raised in it.
+struct OpenTx {
+    pre_image: Database,
+    held: Vec<Datagram>,
+}
+
+/// Where `syb_sendmsg` datagrams go: numbered, then sent to the sink at
+/// once in autocommit, or held by the open transaction. `open` mirrors
+/// `tx.is_some()` under its lock, so the autocommit path takes no tx lock.
+#[derive(Default)]
+pub(crate) struct Outbox {
+    sink: RwLock<Option<Arc<dyn NotificationSink>>>,
+    seq: AtomicU64,
+    open: AtomicBool,
+    tx: Mutex<Option<OpenTx>>,
+}
+
+impl Outbox {
+    pub fn post(&self, host: String, port: u16, payload: String) {
+        let Some(sink) = self.sink.read().clone() else {
+            return;
+        };
+        let seq = self.seq.fetch_add(1, AtomicOrdering::Relaxed);
+        let datagram = Datagram {
+            host,
+            port,
+            payload,
+            seq,
+        };
+        if self.open.load(AtomicOrdering::Acquire) {
+            if let Some(tx) = self.tx.lock().as_mut() {
+                return tx.held.push(datagram);
+            }
+        }
+        sink.send(datagram);
+    }
 }
 
 impl Default for Engine {
@@ -182,11 +218,10 @@ impl Default for Engine {
 }
 
 /// A consistent read view of the engine for the duration of one statement:
-/// catalog read guard plus a pinned sink reference.
+/// the catalog read guard.
 struct EngineRead<'e> {
     engine: &'e Engine,
     db: RwLockReadGuard<'e, Database>,
-    sink: Option<Arc<dyn NotificationSink>>,
 }
 
 impl<'e> EngineRead<'e> {
@@ -196,8 +231,7 @@ impl<'e> EngineRead<'e> {
             session,
             scope: &state.scope,
             clock: &self.engine.clock,
-            sink: self.sink.as_deref(),
-            datagram_seq: &self.engine.datagram_seq,
+            outbox: &self.engine.outbox,
             params: state.params,
             stats: &self.engine.counters,
             compiled: self.engine.config.compiled_exec,
@@ -215,10 +249,7 @@ impl Engine {
             db: RwLock::new(Database::new()),
             config,
             clock: Arc::new(LogicalClock::default()),
-            sink: RwLock::new(None),
-            datagram_seq: AtomicU64::new(0),
-            tx_snapshot: Mutex::new(None),
-            rollbacks: AtomicU64::new(0),
+            outbox: Outbox::default(),
             counters: ExecCounters::default(),
         }
     }
@@ -233,7 +264,7 @@ impl Engine {
 
     /// Register the notification sink that `syb_sendmsg()` posts to.
     pub fn set_sink(&self, sink: Arc<dyn NotificationSink>) {
-        *self.sink.write() = Some(sink);
+        *self.outbox.sink.write() = Some(sink);
     }
 
     pub fn clock(&self) -> Arc<LogicalClock> {
@@ -260,14 +291,16 @@ impl Engine {
 
     /// True while an explicit transaction is open.
     pub fn in_tx(&self) -> bool {
-        self.tx_snapshot.lock().is_some()
+        self.outbox.open.load(AtomicOrdering::Acquire)
     }
 
-    /// Number of `ROLLBACK` statements that restored a snapshot. Monotonic;
-    /// part of the agent's loss signal (a rollback can rewind event-version
-    /// counters the detector has already observed).
-    pub fn rollback_count(&self) -> u64 {
-        self.rollbacks.load(AtomicOrdering::SeqCst)
+    /// The committed database: the open transaction's pre-image, or the
+    /// live catalog when none is open. Cloning is copy-on-write.
+    pub fn committed_database(&self) -> Database {
+        match self.outbox.tx.lock().as_ref() {
+            Some(tx) => tx.pre_image.clone(),
+            None => self.db.read_recursive().clone(),
+        }
     }
 
     /// Acquire a consistent read view for one statement.
@@ -275,7 +308,6 @@ impl Engine {
         EngineRead {
             engine: self,
             db: self.db.read_recursive(),
-            sink: self.sink.read().clone(),
         }
     }
 
@@ -363,23 +395,20 @@ impl Engine {
         out: &mut BatchResult,
         lowered: Option<&LoweredCache>,
     ) -> Result<()> {
-        let sink = self.sink.read().clone();
         let state = ExecState {
             scope: Vec::new(),
             params,
             lowered,
         };
         for stmt in stmts {
-            self.exec_snapshot_stmt(snap, sink.as_deref(), stmt, session, &state, out, 0)?;
+            self.exec_snapshot_stmt(snap, stmt, session, &state, out, 0)?;
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_snapshot_stmt(
         &self,
         snap: &Database,
-        sink: Option<&dyn NotificationSink>,
         stmt: &Stmt,
         session: &SessionCtx,
         state: &ExecState<'_>,
@@ -396,8 +425,7 @@ impl Engine {
             session,
             scope: &state.scope,
             clock: &self.clock,
-            sink,
-            datagram_seq: &self.datagram_seq,
+            outbox: &self.outbox,
             params: state.params,
             stats: &self.counters,
             compiled: self.config.compiled_exec,
@@ -425,9 +453,9 @@ impl Engine {
             } => {
                 let truthy = eval_expr(&ctx, &RowEnv::empty(), cond)?.is_truthy();
                 if truthy {
-                    self.exec_snapshot_stmt(snap, sink, then_branch, session, state, out, depth)?;
+                    self.exec_snapshot_stmt(snap, then_branch, session, state, out, depth)?;
                 } else if let Some(e) = else_branch {
-                    self.exec_snapshot_stmt(snap, sink, e, session, state, out, depth)?;
+                    self.exec_snapshot_stmt(snap, e, session, state, out, depth)?;
                 }
                 Ok(())
             }
@@ -445,13 +473,13 @@ impl Engine {
                             self.config.max_while_iterations
                         )));
                     }
-                    self.exec_snapshot_stmt(snap, sink, body, session, state, out, depth)?;
+                    self.exec_snapshot_stmt(snap, body, session, state, out, depth)?;
                 }
                 Ok(())
             }
             Stmt::Block(stmts) => {
                 for s in stmts {
-                    self.exec_snapshot_stmt(snap, sink, s, session, state, out, depth)?;
+                    self.exec_snapshot_stmt(snap, s, session, state, out, depth)?;
                 }
                 Ok(())
             }
@@ -473,7 +501,7 @@ impl Engine {
                     lowered: None,
                 };
                 for s in &proc.body {
-                    self.exec_snapshot_stmt(snap, sink, s, session, &body_state, out, depth + 1)?;
+                    self.exec_snapshot_stmt(snap, s, session, &body_state, out, depth + 1)?;
                 }
                 Ok(())
             }
@@ -723,39 +751,38 @@ impl Engine {
                 Ok(())
             }
             Stmt::BeginTran => {
-                let mut tx = self.tx_snapshot.lock();
+                let mut tx = self.outbox.tx.lock();
                 if tx.is_some() {
                     return Err(Error::Transaction {
                         msg: "nested transactions are not supported".into(),
                     });
                 }
-                *tx = Some(self.db.read_recursive().clone());
+                *tx = Some(OpenTx {
+                    pre_image: self.db.read_recursive().clone(),
+                    held: Vec::new(),
+                });
+                self.outbox.open.store(true, AtomicOrdering::Release);
                 Ok(())
             }
-            Stmt::Commit => {
-                if self.tx_snapshot.lock().take().is_none() {
-                    return Err(Error::Transaction {
-                        msg: "COMMIT without BEGIN TRAN".into(),
-                    });
+            Stmt::Commit | Stmt::Rollback => {
+                let commit = matches!(stmt, Stmt::Commit);
+                let verb = if commit { "COMMIT" } else { "ROLLBACK" };
+                let tx = {
+                    let mut tx = self.outbox.tx.lock();
+                    self.outbox.open.store(false, AtomicOrdering::Release);
+                    tx.take()
+                };
+                let tx = tx.ok_or_else(|| Error::Transaction {
+                    msg: format!("{verb} without BEGIN TRAN"),
+                })?;
+                if !commit {
+                    // Explicit and recovery's implicit ROLLBACK: restore the
+                    // pre-image; the held datagrams drop with `tx`.
+                    *self.db.write() = tx.pre_image;
+                } else if let Some(sink) = self.outbox.sink.read().clone() {
+                    tx.held.into_iter().for_each(|d| sink.send(d));
                 }
                 Ok(())
-            }
-            Stmt::Rollback => {
-                let snapshot = self.tx_snapshot.lock().take();
-                match snapshot {
-                    Some(snapshot) => {
-                        *self.db.write() = snapshot;
-                        // A rollback can regress durable event-version
-                        // counters below watermarks an observer has already
-                        // recorded; the SeqCst bump is the observer's cue to
-                        // re-reconcile against durable state.
-                        self.rollbacks.fetch_add(1, AtomicOrdering::SeqCst);
-                        Ok(())
-                    }
-                    None => Err(Error::Transaction {
-                        msg: "ROLLBACK without BEGIN TRAN".into(),
-                    }),
-                }
             }
             Stmt::If {
                 cond,
@@ -1414,6 +1441,28 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].port, 10006);
         assert_eq!(got[0].payload, "hello agent");
+    }
+
+    #[test]
+    fn open_transaction_holds_its_datagrams_until_commit() {
+        use crate::notify::CollectingSink;
+        let (mut e, s) = engine();
+        let sink = CollectingSink::new();
+        e.set_sink(sink.clone());
+        let send = |n: i64| format!("select syb_sendmsg('h', 1, 'm{n}')");
+        run(&mut e, &s, &format!("begin tran {}", send(1)));
+        run(&mut e, &s, &send(2));
+        assert!(sink.is_empty(), "nothing leaves an open transaction");
+        run(&mut e, &s, "commit");
+        let got = sink.take();
+        let payloads: Vec<&str> = got.iter().map(|d| d.payload.as_str()).collect();
+        assert_eq!(payloads, ["m1", "m2"]);
+        assert!(got[0].seq < got[1].seq, "posted in seq order");
+
+        run(&mut e, &s, &format!("begin tran {} rollback", send(3)));
+        assert!(sink.is_empty(), "a rolled-back datagram is never posted");
+        run(&mut e, &s, &send(4));
+        assert_eq!(sink.take()[0].payload, "m4", "autocommit posts at once");
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-
 use crate::ast::{is_aggregate_name, BinaryOp, Expr, UnaryOp};
 use crate::catalog::Database;
 use crate::clock::LogicalClock;
-use crate::engine::ExecCounters;
+use crate::engine::{ExecCounters, Outbox};
 use crate::error::{Error, ObjectKind, Result};
-use crate::notify::{Datagram, NotificationSink};
 use crate::select::run_select;
 use crate::table::{Schema, Table};
 use crate::value::Value;
@@ -68,8 +65,7 @@ pub(crate) struct QueryCtx<'e> {
     /// Trigger scope stack; the innermost frame wins for `inserted`/`deleted`.
     pub scope: &'e [PseudoFrame],
     pub clock: &'e LogicalClock,
-    pub sink: Option<&'e dyn NotificationSink>,
-    pub datagram_seq: &'e AtomicU64,
+    pub outbox: &'e Outbox,
     /// Literals masked out of the batch text by the statement-plan cache;
     /// `Expr::Param(i)` reads slot `i`. Empty for unparameterized plans.
     pub params: &'e [Value],
@@ -575,7 +571,7 @@ pub(crate) fn scalar_fn_lazy(
             Ok(Value::Str(ctx.session.user.clone()))
         }
         // The paper's notification built-in (Figure 11): sends a UDP
-        // datagram; returns 0 on success, as Sybase does.
+        // datagram (at COMMIT in a transaction); returns 0, as Sybase does.
         "syb_sendmsg" => {
             need(3)?;
             let host = arg(0)?;
@@ -585,15 +581,7 @@ pub(crate) fn scalar_fn_lazy(
                 Value::Int(p) if (0..=65535).contains(&p) => p as u16,
                 other => return Err(Error::exec(format!("bad port {other}"))),
             };
-            if let Some(sink) = ctx.sink {
-                let seq = ctx.datagram_seq.fetch_add(1, AtomicOrdering::Relaxed);
-                sink.send(Datagram {
-                    host: host.to_string(),
-                    port,
-                    payload: payload.to_string(),
-                    seq,
-                });
-            }
+            ctx.outbox.post(host.to_string(), port, payload.to_string());
             Ok(Value::Int(0))
         }
         "upper" => {

@@ -807,12 +807,10 @@ impl SqlServer {
     /// read API replacing read-only [`SqlServer::inspect`] uses.
     ///
     /// Live, not published: the snapshot includes rows written by batches
-    /// that have executed but not yet published their versions. Agent
-    /// internals depend on that — a durable `_ver` counter read here is
-    /// never behind a datagram the engine has already emitted, which is
-    /// what keeps exactly-once reconciliation from mistaking publication
-    /// lag for a rollback. Each table is statement-consistent; the set as
-    /// a whole is not a serialization point (same contract `inspect` had).
+    /// that have executed but not yet published their versions, and an
+    /// open transaction's uncommitted rows ([`Self::committed_database`]
+    /// leaves those out). Each table is statement-consistent; the set as a
+    /// whole is not a serialization point (same contract `inspect` had).
     pub fn snapshot(&self) -> DbSnapshot {
         let db = self.engine.database().clone();
         DbSnapshot {
@@ -823,10 +821,10 @@ impl SqlServer {
         }
     }
 
-    /// Number of `ROLLBACK` statements that restored a database snapshot
-    /// (see [`Engine::rollback_count`]) — the agent's loss signal.
-    pub fn rollback_count(&self) -> u64 {
-        self.engine.rollback_count()
+    /// The open transaction's pre-image (also what is published), or else
+    /// the live catalog, as [`Self::snapshot`] pins it.
+    pub fn committed_database(&self) -> Database {
+        self.engine.committed_database()
     }
 
     /// Pin an epoch-consistent snapshot of a read-pure plan's footprint:

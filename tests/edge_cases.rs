@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use eca_core::{EcaAgent, PersistentManager};
+use eca_core::{AgentConfig, EcaAgent, EcaClient, FaultPlan, PersistentManager};
 use relsql::{SqlServer, Value};
 
 fn setup() -> (EcaAgent, eca_core::EcaClient) {
@@ -214,4 +214,120 @@ fn same_action_table_from_multiple_rules_is_consistent() {
     client.execute("insert t values (1)").unwrap();
     let r = client.execute("select count(*) from audit").unwrap();
     assert_eq!(r.server.scalar(), Some(&Value::Int(10)));
+}
+
+/// Primitives `eq` on `q` and `et` on `t`, and the composite
+/// `s = eq ; et RECENT`, whose action copies the `q` row it paired.
+fn sequence_rules(config: AgentConfig) -> (EcaAgent, EcaClient) {
+    let agent = EcaAgent::new(SqlServer::new(), config).unwrap();
+    let client = agent.client("db", "u");
+    for sql in [
+        "create table q (x int)",
+        "create table t (x int)",
+        "create table audit (x int)",
+        "create trigger tq on q for insert event eq as print 'q'",
+        "create trigger tt on t for insert event et as print 't'",
+        "create trigger ts event s = eq ; et RECENT \
+         as insert audit select x from q.inserted",
+    ] {
+        client.execute(sql).unwrap();
+    }
+    (agent, client)
+}
+
+fn lossless_and_lossy() -> [AgentConfig; 2] {
+    [
+        AgentConfig::builder().build(),
+        AgentConfig::builder()
+            .fault_plan(FaultPlan::lossy(1.0, 7))
+            .build(),
+    ]
+}
+
+fn audit_rows(client: &EcaClient) -> Vec<Value> {
+    let r = client.execute("select x from audit order by x").unwrap();
+    let rows = &r.server.last_select().unwrap().rows;
+    rows.iter().map(|row| row[0].clone()).collect()
+}
+
+#[test]
+fn rolled_back_occurrence_never_fires() {
+    for config in lossless_and_lossy() {
+        let (_agent, client) = sequence_rules(config);
+        let resp = client
+            .execute("begin tran insert q values (1) rollback")
+            .unwrap();
+        assert!(resp.actions.is_empty());
+        let resp = client.execute("insert t values (1)").unwrap();
+        assert!(resp.actions.is_empty(), "{:?}", resp.actions);
+        assert!(audit_rows(&client).is_empty());
+    }
+}
+
+#[test]
+fn composite_in_a_split_transaction_fires_at_commit() {
+    for config in lossless_and_lossy() {
+        let (_agent, client) = sequence_rules(config);
+        for sql in ["begin tran insert q values (1)", "insert t values (1)"] {
+            let resp = client.execute(sql).unwrap();
+            assert!(resp.actions.is_empty(), "{sql}: {:?}", resp.actions);
+        }
+        let resp = client.execute("commit").unwrap();
+        assert_eq!(resp.actions.len(), 1, "{:?}", resp.actions);
+        assert!(resp.actions[0].rule.ends_with("ts"));
+        assert_eq!(audit_rows(&client), [Value::Int(1)]);
+    }
+}
+
+#[test]
+fn rolled_back_deferred_occurrence_leaves_nothing_queued() {
+    let (agent, client) = setup();
+    client.execute("create table d (a int)").unwrap();
+    client
+        .execute(
+            "create trigger td on d for insert event ed DEFERRED \
+             as insert audit values (1)",
+        )
+        .unwrap();
+    client
+        .execute("begin tran insert d values (2) rollback")
+        .unwrap();
+    let resp = agent.flush_deferred().unwrap();
+    assert!(resp.actions.is_empty(), "{:?}", resp.actions);
+}
+
+#[test]
+fn vno_reused_after_rollback_fires_once_for_the_committed_row() {
+    for config in lossless_and_lossy() {
+        let (_agent, client) = sequence_rules(config);
+        // Under total loss the autocommit `insert t` drops its datagram,
+        // so the batch's pump sweeps while the transaction is open.
+        for sql in [
+            "insert t values (0) begin tran insert q values (1)",
+            "rollback",
+            "insert q values (2)",
+            "insert t values (3)",
+        ] {
+            client.execute(sql).unwrap();
+        }
+        assert_eq!(audit_rows(&client), [Value::Int(2)]);
+    }
+}
+
+#[test]
+fn sweep_inside_an_open_transaction_reads_committed_counters() {
+    let config = AgentConfig::builder()
+        .fault_plan(FaultPlan::lossy(1.0, 7))
+        .build();
+    let (agent, client) = sequence_rules(config);
+    client
+        .execute("insert t values (0) begin tran insert q values (1)")
+        .unwrap();
+    // The dropped `et` datagram moved the loss signal; the sweep repaired
+    // `et` and left the uncommitted `eq` alone.
+    assert_eq!(agent.stats()["gaps_repaired"], 1);
+    client.execute("rollback").unwrap();
+    let resp = client.execute("insert t values (1)").unwrap();
+    assert!(resp.actions.is_empty(), "{:?}", resp.actions);
+    assert!(audit_rows(&client).is_empty());
 }

@@ -625,3 +625,43 @@ fn one_batch_per_firing_before_and_after_reopen() {
     let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
     assert_one_batch_per_firing(&agent, &server, 2);
 }
+
+#[test]
+fn crash_inside_an_open_transaction_raises_nothing() {
+    let storage = relsql::FaultyStorage::new();
+    {
+        let server = durable_server(&storage);
+        let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
+        let client = agent.client("db", "u");
+        for sql in [
+            "create table q (x int)",
+            "create table t (x int)",
+            "create table audit (x int)",
+            "create trigger tq on q for insert event eq as print 'q'",
+            "create trigger tt on t for insert event et as print 't'",
+            "create trigger ts event s = eq ; et RECENT \
+             as insert audit select x from q.inserted",
+        ] {
+            client.execute(sql).unwrap();
+        }
+        let resp = client.execute("begin tran insert q values (1)").unwrap();
+        assert!(resp.actions.is_empty());
+    }
+    storage.crash_to_durable();
+
+    // Recovery replays the open transaction, then rolls it back: the
+    // occurrence never happened.
+    let server = durable_server(&storage);
+    let agent = EcaAgent::with_defaults(Arc::clone(&server)).unwrap();
+    assert!(agent.take_async_outcomes().is_empty());
+    assert_eq!(agent.stats()["gaps_repaired"], 0);
+    let watermarks = PersistentManager::new(&server).load_watermarks().unwrap();
+    assert_eq!(watermarks.get("db.u.eq"), Some(&0), "{watermarks:?}");
+
+    let client = agent.client("db", "u");
+    client.execute("insert q values (2)").unwrap();
+    let resp = client.execute("insert t values (3)").unwrap();
+    assert_eq!(resp.actions.len(), 1, "{:?}", resp.actions);
+    let r = client.execute("select x from audit").unwrap();
+    assert_eq!(r.server.last_select().unwrap().rows, [vec![Value::Int(2)]]);
+}
