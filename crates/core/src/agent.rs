@@ -52,13 +52,8 @@ pub struct AgentConfig {
     /// endpoint in Figure 11).
     pub notify_host: String,
     pub notify_port: u16,
-    /// Simulated UDP loss probability for the notification channel.
-    pub drop_probability: f64,
-    pub drop_seed: u64,
-    /// Full fault plan (drop, duplicate, reorder, delay bursts) for the
-    /// notification channel. When set it takes precedence over
-    /// `drop_probability`/`drop_seed` (which remain as a drop-only
-    /// shorthand).
+    /// Fault plan (drop, duplicate, reorder, delay bursts) for the
+    /// notification channel; `None` delivers every datagram.
     pub fault_plan: Option<FaultPlan>,
     /// Exactly-once notification semantics: suppress duplicate
     /// `(event, vNo)` deliveries, repair gaps from the durable occurrence
@@ -68,7 +63,8 @@ pub struct AgentConfig {
     pub exactly_once: bool,
     /// Retry policy for failing rule actions (default: single attempt).
     pub retry: RetryPolicy,
-    /// Safety cap on cascaded notifications processed per client call.
+    /// Safety cap on occurrences one pump raises (a client call's
+    /// notifications plus the cascades its actions cause).
     pub max_cascade: usize,
     /// Per-node LED buffered-occurrence ceiling (circuit breaker for
     /// unbounded CHRONICLE/CONTINUOUS state — see experiment E9).
@@ -90,8 +86,6 @@ impl AgentConfig {
             config: AgentConfig {
                 notify_host: "128.227.205.215".into(), // the paper's Figure 11 address
                 notify_port: 10006,
-                drop_probability: 0.0,
-                drop_seed: 0,
                 fault_plan: None,
                 exactly_once: true,
                 retry: RetryPolicy::default(),
@@ -141,14 +135,13 @@ impl AgentConfigBuilder {
         self
     }
 
-    /// Drop-only channel loss (shorthand for a lossy [`FaultPlan`]).
-    pub fn drop_probability(mut self, probability: f64, seed: u64) -> Self {
-        self.config.drop_probability = probability;
-        self.config.drop_seed = seed;
-        self
+    /// Drop-only channel loss: shorthand for
+    /// `fault_plan(FaultPlan::lossy(probability, seed))`.
+    pub fn drop_probability(self, probability: f64, seed: u64) -> Self {
+        self.fault_plan(FaultPlan::lossy(probability, seed))
     }
 
-    /// Full channel fault plan (takes precedence over `drop_probability`).
+    /// Full channel fault plan.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.config.fault_plan = Some(plan);
         self
@@ -166,7 +159,7 @@ impl AgentConfigBuilder {
         self
     }
 
-    /// Safety cap on cascaded notifications per client call.
+    /// Safety cap on occurrences one pump raises.
     pub fn max_cascade(mut self, cap: usize) -> Self {
         self.config.max_cascade = cap;
         self
@@ -303,10 +296,7 @@ impl EcaAgent {
             Some(depth) => ChannelSink::bounded(depth),
             None => ChannelSink::new(),
         };
-        let plan = config
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| FaultPlan::lossy(config.drop_probability, config.drop_seed));
+        let plan = config.fault_plan.clone().unwrap_or_default();
         let chaos = if plan.is_noop() {
             server.set_sink(Arc::clone(&sink) as Arc<dyn NotificationSink>);
             None
@@ -878,14 +868,6 @@ impl EcaAgent {
         self.pump_inner(resp)
     }
 
-    fn pump_inner(&self, resp: &mut AgentResponse) -> Result<()> {
-        if self.inner.config.exactly_once {
-            self.pump_exactly_once(resp)
-        } else {
-            self.pump_lossy(resp)
-        }
-    }
-
     /// Combined monotonic loss signal: every path that can leave a durable
     /// occurrence counter ahead of the admission tracker without a matching
     /// datagram in the channel bumps one of these counters *during the
@@ -913,12 +895,18 @@ impl EcaAgent {
             .wrapping_add(chaos)
     }
 
-    /// Exactly-once pump: drain the channel through the admission tracker
-    /// (duplicates suppressed, gaps synthesized in `vNo` order), then
-    /// reconcile against the durable occurrence counters so occurrences
-    /// whose datagram was dropped outright are repaired too. Loops until a
-    /// full pass makes no progress, then write-behinds the watermarks.
-    fn pump_exactly_once(&self, resp: &mut AgentResponse) -> Result<()> {
+    /// The pump. With `exactly_once` it drains the channel through the
+    /// admission tracker (duplicates suppressed, gaps synthesized in `vNo`
+    /// order), then reconciles against the durable occurrence counters so
+    /// occurrences whose datagram was dropped outright are repaired too;
+    /// it loops until a full pass makes no progress, then write-behinds
+    /// the watermarks. Without it, it is the paper's fire-and-forget UDP
+    /// receiver: every datagram that arrives is raised as-is, in channel
+    /// order, so duplicates are raised twice and dropped datagrams stay
+    /// lost; no mark moves, so nothing is flushed. Either way the cascade
+    /// cap counts the occurrences raised by this call.
+    fn pump_inner(&self, resp: &mut AgentResponse) -> Result<()> {
+        let exactly_once = self.inner.config.exactly_once;
         let mut raised = 0usize;
         loop {
             let mut progressed = false;
@@ -936,12 +924,16 @@ impl EcaAgent {
                     }
                 };
                 if self.inner.registry.lock().primitive(&note.event).is_none() {
-                    // Stale notification for a dropped event: received but
-                    // not raisable (matches the legacy pump's accounting).
+                    // Stale notification for a dropped event: received,
+                    // counted, not raisable.
                     self.inner
                         .counters
                         .notifications
                         .fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                if !exactly_once {
+                    self.raise_occurrence(&note.event, note.vno, &mut raised, resp)?;
                     continue;
                 }
                 let admission = self.inner.tracker.lock().admit(&note.event, note.vno);
@@ -955,13 +947,13 @@ impl EcaAgent {
                     }
                 }
             }
-            // Phase 2: anti-entropy against the committed durable
-            // counters. A counter the mark has already passed (a concurrent
-            // admit got there first) repairs nothing. Only tracker-seeded
-            // events are reconciled (the tracker mirrors registry
-            // membership for primitives), which keeps the registry lock out
-            // of this section — `drop_event` nests registry → tracker, so
-            // the reverse order here would deadlock.
+            // Phase 2 (exactly-once only): anti-entropy against the
+            // committed durable counters. A counter the mark has already
+            // passed (a concurrent admit got there first) repairs nothing.
+            // Only tracker-seeded events are reconciled (the tracker mirrors
+            // registry membership for primitives), which keeps the registry
+            // lock out of this section — `drop_event` nests registry →
+            // tracker, so the reverse order here would deadlock.
             //
             // The sweep is gated on the loss signal: in a loss-free steady
             // state (no faults, no overflow) every occurrence
@@ -970,8 +962,10 @@ impl EcaAgent {
             // lock and the durable read. `swap` claims the new signal value;
             // concurrent pumps racing here at worst both sweep (idempotent
             // under the tracker lock), never both skip a moved signal.
-            let signal = self.loss_signal();
-            let sweep = signal != self.inner.last_loss_signal.swap(signal, Ordering::SeqCst);
+            let sweep = exactly_once && {
+                let signal = self.loss_signal();
+                signal != self.inner.last_loss_signal.swap(signal, Ordering::SeqCst)
+            };
             let repairs: Vec<(String, Vec<i64>)> = if !sweep {
                 Vec::new()
             } else {
@@ -1000,46 +994,6 @@ impl EcaAgent {
             }
         }
         self.flush_watermarks()
-    }
-
-    /// The paper's honest fire-and-forget pump: every datagram that arrives
-    /// is signalled as-is; dropped datagrams are silently lost, duplicates
-    /// are raised twice. Kept verbatim behind `exactly_once: false` for the
-    /// loss-sensitivity tests and benchmarks (E8).
-    fn pump_lossy(&self, resp: &mut AgentResponse) -> Result<()> {
-        let mut processed = 0usize;
-        while let Ok(datagram) = self.inner.rx.try_recv() {
-            processed += 1;
-            if processed > self.inner.config.max_cascade {
-                return Err(AgentError::Recovery(format!(
-                    "notification cascade exceeded {} messages",
-                    self.inner.config.max_cascade
-                )));
-            }
-            let note = match notifier::decode(&datagram) {
-                Some(n) => n,
-                None => {
-                    self.inner
-                        .counters
-                        .malformed_notifications
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            };
-            if self.inner.registry.lock().primitive(&note.event).is_none() {
-                // Stale notification for a dropped event: received, counted,
-                // not raisable.
-                self.inner
-                    .counters
-                    .notifications
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // The cascade cap was already enforced per datagram above.
-            let mut raised = 0usize;
-            self.raise_occurrence(&note.event, note.vno, &mut raised, resp)?;
-        }
-        Ok(())
     }
 
     /// Raise one primitive-event occurrence into the LED: build the shadow
@@ -1101,10 +1055,7 @@ impl EcaAgent {
     /// Write-behind the high-water marks that changed since the last flush.
     fn flush_watermarks(&self) -> Result<()> {
         let dirty = self.inner.tracker.lock().take_dirty();
-        for (event, hwm) in dirty {
-            self.inner.persist.save_watermark(&event, hwm)?;
-        }
-        Ok(())
+        self.inner.persist.save_watermarks(&dirty)
     }
 
     /// Subscribe to every primitive-event occurrence this agent raises —

@@ -101,10 +101,12 @@ impl PersistentManager {
 
     /// Create any missing system tables. Returns how many were created.
     pub fn ensure_system_tables(&self) -> Result<usize> {
+        let server = self.session.server();
         let mut created = 0;
         for (name, ddl) in system_tables_ddl() {
-            let exists = self.session.server().snapshot().database().has_table(name);
-            if !exists {
+            // A row-lock probe, not `snapshot()`, which clones the catalog.
+            let key = relsql::catalog::name_key(name);
+            if server.with_table_rows(&key, |_| ()).is_none() {
                 self.session.execute(&ddl)?;
                 created += 1;
             }
@@ -129,49 +131,32 @@ impl PersistentManager {
             .collect()
     }
 
-    /// Upsert one event's high-water mark.
-    ///
-    /// Written through engine state directly rather than as a
-    /// delete-then-insert batch: the exactly-once pump write-behinds a
-    /// watermark after nearly every statement, and `SysAgentWatermark` is
-    /// one shared table — two scheduled batches on it per statement would
-    /// re-serialize every client the per-table lock scheduler just made
-    /// parallel. The table is owned exclusively by this manager, so the
-    /// row lock alone makes the upsert atomic; a missing table (system
-    /// tables not ensured yet) falls back to the SQL path for its error.
-    ///
-    /// On a *durable* server the direct-write shortcut would bypass the
-    /// WAL — the watermark would vanish on a crash and recovery would
-    /// re-fire actions the agent already acknowledged. There the upsert
-    /// goes through the logged SQL path instead: slower (one exclusive
-    /// batch per save), but the watermark survives hard process death,
-    /// which is the whole point of opening from a data dir.
+    /// Raise one event's high-water mark (see [`Self::save_watermarks`]).
     pub fn save_watermark(&self, event: &str, hwm: i64) -> Result<()> {
-        // Live-row write (not `snapshot`) on purpose: `with_table_rows_mut`
-        // republishes the table's MVCC version when the guard drops, so
-        // snapshot readers see the new watermark too.
-        let updated = !self.session.server().is_durable()
-            && self
-                .session
-                .server()
-                .with_table_rows_mut("sysagentwatermark", |rows| {
-                    match rows
-                        .iter_mut()
-                        .find(|r| matches!(r.first(), Some(Value::Str(ev)) if ev == event))
-                    {
-                        Some(row) => row[1] = Value::Int(hwm),
-                        None => rows.push(vec![Value::Str(event.to_string()), Value::Int(hwm)]),
-                    }
-                })
-                .is_some();
-        if updated {
+        self.save_watermarks(&[(event.to_string(), hwm)])
+    }
+
+    /// Raise several events' high-water marks in one batch, so a durable
+    /// server logs one WAL record per flush. Each write is monotone: a
+    /// stored mark only moves up, so two flushes of one event that land
+    /// out of order cannot move it back and re-fire the higher occurrence
+    /// after a restart. A missing row is inserted.
+    pub fn save_watermarks(&self, marks: &[(String, i64)]) -> Result<()> {
+        if marks.is_empty() {
             return Ok(());
         }
-        self.run(&format!(
-            "delete SysAgentWatermark where eventName = {ev}\n\
-             insert SysAgentWatermark values ({ev}, {hwm})",
-            ev = sql_quote(event),
-        ))?;
+        let sql: Vec<String> = marks
+            .iter()
+            .map(|(event, hwm)| {
+                format!(
+                    "if exists (select 1 from SysAgentWatermark where eventName = {ev})\n\
+                     update SysAgentWatermark set hwm = {hwm} where eventName = {ev} and hwm < {hwm}\n\
+                     else insert SysAgentWatermark values ({ev}, {hwm})",
+                    ev = sql_quote(event),
+                )
+            })
+            .collect();
+        self.run(&sql.join("\n"))?;
         Ok(())
     }
 
@@ -554,6 +539,42 @@ mod tests {
         pm.run("delete SysAgentWatermark where eventName = 'db.u.e'")
             .unwrap();
         assert_eq!(pm.load_watermarks().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn watermark_writes_only_raise_the_mark_and_insert_missing_rows() {
+        let storage: Arc<dyn relsql::Storage> = relsql::FaultyStorage::new();
+        let durable = SqlServer::open_with_storage(
+            storage,
+            relsql::DurabilityConfig {
+                fsync: relsql::FsyncPolicy::Always,
+                checkpoint_bytes: 0,
+            },
+            relsql::EngineConfig::default(),
+        )
+        .unwrap();
+        for server in [SqlServer::new(), durable] {
+            let on = if server.is_durable() {
+                "durable"
+            } else {
+                "in memory"
+            };
+            let pm = PersistentManager::new(&server);
+            pm.ensure_system_tables().unwrap();
+            // Two flushes of one event that land out of order.
+            pm.save_watermark("e", 6).unwrap();
+            pm.save_watermark("e", 5).unwrap();
+            assert_eq!(pm.load_watermarks().unwrap().get("e"), Some(&6), "{on}");
+            // One batch: the missing row is inserted, the lower mark ignored,
+            // and a durable server logs one WAL record for both.
+            let wal = server.metrics()["wal_records"];
+            pm.save_watermarks(&[("e".into(), 4), ("f".into(), 2)])
+                .unwrap();
+            let wm = pm.load_watermarks().unwrap();
+            assert_eq!((wm.get("e"), wm.get("f")), (Some(&6), Some(&2)), "{on}");
+            let logged = server.metrics()["wal_records"] - wal;
+            assert_eq!(logged, u64::from(server.is_durable()), "{on}");
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use std::sync::Arc;
 
 use crate::error::{Error, ObjectKind, Result};
 use crate::table::{Row, Schema};
@@ -273,7 +272,10 @@ impl Index {
 }
 
 /// All indexes of one table. Cloning is cheap relative to rebuilds but still
-/// O(rows); tables share built sets via `Arc<IndexSet>` and copy-on-write.
+/// O(rows); a table holds its set as an `Arc<IndexSet>` beside its rows,
+/// shared copy-on-write with snapshots and published versions. The table's
+/// write paths change rows and set together, under both locks, so the set
+/// always describes the rows beside it.
 #[derive(Debug, Clone, Default)]
 pub struct IndexSet {
     indexes: Vec<Index>,
@@ -425,15 +427,6 @@ impl IndexSet {
             ix.map = IndexMap::new(ix.def.kind);
         }
     }
-}
-
-/// Shared index state of a table: the built set plus a dirty flag. The flag
-/// lives *outside* the `Arc` so foreign mutators (`rows_mut`) can mark the
-/// set stale without cloning it; the next probe rebuilds lazily.
-#[derive(Debug, Clone, Default)]
-pub struct IndexState {
-    pub set: Arc<IndexSet>,
-    pub dirty: bool,
 }
 
 /// Range-bound normalization for the planner: `None` means "the bound must

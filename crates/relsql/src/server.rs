@@ -762,29 +762,8 @@ impl SqlServer {
         m
     }
 
-    /// Run a closure over one live table's row store under its row
-    /// write-lock. Returns `None` when the table does not exist.
-    ///
-    /// This is the narrow seam that replaced write-side `inspect` uses: the
-    /// write guard republishes the table's MVCC version when it drops, so
-    /// snapshot readers observe the edit. It bypasses the WAL — durable
-    /// servers must route writes through SQL instead — and the scheduler,
-    /// so callers must own the table exclusively (the agent's watermark
-    /// store does) or tolerate racing batches.
-    pub fn with_table_rows_mut<R>(
-        &self,
-        table: &str,
-        f: impl FnOnce(&mut Vec<crate::table::Row>) -> R,
-    ) -> Option<R> {
-        let db = self.engine.database();
-        let t = db.table(table)?;
-        let mut rows = t.rows_mut();
-        Some(f(&mut rows))
-    }
-
-    /// Read-only companion to [`Self::with_table_rows_mut`]: run a closure
-    /// over one live table's rows under its recursive read lock. Returns
-    /// `None` when the table does not exist.
+    /// Run a closure over one live table's rows under its recursive read
+    /// lock. Returns `None` when the table does not exist.
     ///
     /// Unlike [`Self::snapshot`] this sees *live* (unpublished) rows and
     /// takes no clones, so it is safe from notification sinks running on
@@ -1207,25 +1186,6 @@ mod tests {
             .unwrap();
         // The lock-free snapshot sees the full catalog.
         assert_eq!(server.snapshot().database().table_count(), 1);
-    }
-
-    #[test]
-    fn with_table_rows_mut_edits_live_and_published_rows() {
-        let server = SqlServer::new();
-        let s = server.session("db", "u");
-        s.execute("create table t (a int)").unwrap();
-        s.execute("insert t values (1)").unwrap();
-        let hit = server.with_table_rows_mut("t", |rows| {
-            rows[0][0] = Value::Int(42);
-        });
-        assert!(hit.is_some());
-        assert!(server.with_table_rows_mut("missing", |_| ()).is_none());
-        // Both the live read path and the MVCC snapshot lane see the edit.
-        let r = s.execute("select a from t").unwrap();
-        assert_eq!(r.scalar(), Some(&Value::Int(42)));
-        let snap = server.snapshot();
-        let t = snap.database().table("t").unwrap();
-        assert_eq!(t.rows()[0][0], Value::Int(42));
     }
 
     #[test]

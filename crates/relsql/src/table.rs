@@ -14,14 +14,15 @@
 //! `Arc::make_mut`. The old eager `Vec` clone made `BEGIN TRAN` O(total
 //! rows) on every transaction regardless of what it touched.
 //!
-//! Indexes live beside the rows under their own lock ([`IndexState`]).
-//! **Lock order is always rows → indexes → published**; every path below
-//! acquires the row lock (read or write) before touching the index lock,
-//! and the published-version lock last, so the three can never deadlock
-//! against each other. Engine DML maintains indexes incrementally through
-//! [`TableWrite`]; foreign mutators that use the raw [`Table::rows_mut`]
-//! escape hatch just mark the set dirty and the next probe rebuilds it
-//! lazily.
+//! Indexes live beside the rows under their own lock, as one shared
+//! [`IndexSet`]. **Lock order is always rows → indexes → published**; every
+//! path below acquires the row lock (read or write) before touching the
+//! index lock, and the published-version lock last, so the three can never
+//! deadlock against each other. Every row change goes through
+//! [`TableWrite`], or through a `&mut self` method on a table nobody else
+//! holds ([`Table::insert_row`], [`Table::add_column`]); each maintains the
+//! indexes in the same critical section, so the index set always describes
+//! the rows beside it.
 //!
 //! ## Published versions (MVCC)
 //!
@@ -31,9 +32,7 @@
 //! holding that batch's scheduling locks, so the pair it captures is never
 //! a mid-batch state), and read-pure batches execute against [`Table::pinned`]
 //! clones of the published version — sharing the `Arc`s, holding no locks,
-//! and never observing a half-applied batch. The raw [`Table::rows_mut`]
-//! escape hatch republishes on guard drop so direct writes (e.g. watermark
-//! write-behind) cannot leave the published view stale forever.
+//! and never observing a half-applied batch.
 
 use std::sync::Arc;
 
@@ -41,7 +40,7 @@ use crate::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::ast::ColumnDef;
 use crate::error::{Error, ObjectKind, Result};
-use crate::index::{IndexDef, IndexSet, IndexState};
+use crate::index::{IndexDef, IndexSet};
 use crate::value::{DataType, Value};
 
 /// A single column of a table schema. The name is interned (`Arc<str>`) so
@@ -117,7 +116,7 @@ pub type Row = Vec<Value>;
 #[derive(Debug, Clone)]
 struct TableVersion {
     rows: Arc<Vec<Row>>,
-    indexes: IndexState,
+    indexes: Arc<IndexSet>,
 }
 
 /// A heap table: schema plus rows behind a per-table row lock, plus the
@@ -129,7 +128,7 @@ pub struct Table {
     pub name: String,
     pub schema: Schema,
     rows: RwLock<Arc<Vec<Row>>>,
-    indexes: RwLock<IndexState>,
+    indexes: RwLock<Arc<IndexSet>>,
     published: RwLock<TableVersion>,
 }
 
@@ -142,7 +141,7 @@ impl Clone for Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             rows: RwLock::new(Arc::clone(&self.rows.read_recursive())),
-            indexes: RwLock::new(self.indexes.read_recursive().clone()),
+            indexes: RwLock::new(Arc::clone(&self.indexes.read_recursive())),
             published: RwLock::new(self.published.read_recursive().clone()),
         }
     }
@@ -169,10 +168,10 @@ impl Table {
             name: name.into(),
             schema,
             rows: RwLock::new(Arc::clone(&rows)),
-            indexes: RwLock::new(IndexState::default()),
+            indexes: RwLock::new(Arc::default()),
             published: RwLock::new(TableVersion {
                 rows,
-                indexes: IndexState::default(),
+                indexes: Arc::default(),
             }),
         }
     }
@@ -185,10 +184,10 @@ impl Table {
             name: name.into(),
             schema,
             rows: RwLock::new(Arc::clone(&rows)),
-            indexes: RwLock::new(IndexState::default()),
+            indexes: RwLock::new(Arc::default()),
             published: RwLock::new(TableVersion {
                 rows,
-                indexes: IndexState::default(),
+                indexes: Arc::default(),
             }),
         }
     }
@@ -223,19 +222,6 @@ impl Table {
         RowsReadGuard(self.rows.read_recursive())
     }
 
-    /// Exclusive write access to the raw rows — the escape hatch for
-    /// callers outside the engine's DML paths. Marks the index set dirty;
-    /// the next probe rebuilds it. Engine DML uses [`Table::write`]
-    /// instead, which maintains indexes incrementally. The guard
-    /// republishes the table on drop (single-table direct writes are their
-    /// own batch, so the post-write state is batch-consistent by
-    /// definition).
-    pub fn rows_mut(&self) -> RowsWriteGuard<'_> {
-        let guard = self.rows.write();
-        self.indexes.write().dirty = true;
-        RowsWriteGuard { table: self, guard }
-    }
-
     /// Publish the current live `(rows, indexes)` pair as the new
     /// batch-consistent version that [`Table::pinned`] snapshots see.
     ///
@@ -245,29 +231,23 @@ impl Table {
     /// statement into the captured pair.
     pub fn publish(&self) {
         let rows = self.rows.read_recursive();
-        self.publish_version(Arc::clone(&rows));
-    }
-
-    /// Store `rows` plus the current index state as the published version.
-    /// Callers hold the row lock (read or write), keeping the pair
-    /// consistent; lock order rows → indexes → published.
-    fn publish_version(&self, rows: Arc<Vec<Row>>) {
-        let indexes = self.indexes.read().clone();
-        *self.published.write() = TableVersion { rows, indexes };
+        let indexes = Arc::clone(&self.indexes.read());
+        *self.published.write() = TableVersion {
+            rows: Arc::clone(&rows),
+            indexes,
+        };
     }
 
     /// An O(1) clone of the last *published* version — the MVCC read pin.
     /// Shares the published row vector and index set; never blocks on and
-    /// is never blocked by live-row writers. If the published index state
-    /// was dirty, the pinned table rebuilds it lazily over the pinned rows
-    /// on first probe.
+    /// is never blocked by live-row writers.
     pub fn pinned(&self) -> Table {
         let v = self.published.read_recursive().clone();
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             rows: RwLock::new(Arc::clone(&v.rows)),
-            indexes: RwLock::new(v.indexes.clone()),
+            indexes: RwLock::new(Arc::clone(&v.indexes)),
             published: RwLock::new(v),
         }
     }
@@ -277,74 +257,47 @@ impl Table {
     /// on the same thread.
     pub fn write(&self) -> TableWrite<'_> {
         let rows = self.rows.write();
-        let mut indexes = self.indexes.write();
-        if indexes.dirty {
-            Arc::make_mut(&mut indexes.set).rebuild(&rows);
-            indexes.dirty = false;
-        }
         TableWrite {
             table: self,
             rows,
-            indexes,
+            indexes: self.indexes.write(),
         }
     }
 
-    /// The table's built index set, rebuilt first if a foreign mutation
-    /// left it stale. The returned handle stays valid after the internal
-    /// locks drop; the row positions inside are only meaningful while the
-    /// caller prevents concurrent mutation (holds a row guard or the
-    /// server-level table lock).
+    /// The table's built index set. The returned handle stays valid after
+    /// the internal locks drop; the row positions inside are only
+    /// meaningful while the caller prevents concurrent mutation (holds a
+    /// row guard or the server-level table lock).
     pub fn index_set(&self) -> Arc<IndexSet> {
-        let rows = self.rows.read_recursive();
-        {
-            let st = self.indexes.read();
-            if !st.dirty {
-                return Arc::clone(&st.set);
-            }
-        }
-        let mut st = self.indexes.write();
-        if st.dirty {
-            Arc::make_mut(&mut st.set).rebuild(&rows);
-            st.dirty = false;
-        }
-        Arc::clone(&st.set)
+        let _rows = self.rows.read_recursive();
+        Arc::clone(&self.indexes.read())
     }
 
     /// Create and build a secondary index over the current rows.
     pub fn create_index(&self, def: IndexDef) -> Result<()> {
         let rows = self.rows.read_recursive();
-        let mut st = self.indexes.write();
-        if st.dirty {
-            Arc::make_mut(&mut st.set).rebuild(&rows);
-            st.dirty = false;
-        }
-        Arc::make_mut(&mut st.set).create(def, &self.schema, &rows)
+        Arc::make_mut(&mut self.indexes.write()).create(def, &self.schema, &rows)
     }
 
     /// Drop an index by name; `false` if this table does not have it.
     pub fn drop_index(&self, name: &str) -> bool {
         let _rows = self.rows.read_recursive();
-        let mut st = self.indexes.write();
-        Arc::make_mut(&mut st.set).drop(name)
+        Arc::make_mut(&mut self.indexes.write()).drop(name)
     }
 
     /// Definitions of the table's indexes (catalog introspection).
     pub fn index_defs(&self) -> Vec<IndexDef> {
         let _rows = self.rows.read_recursive();
-        self.indexes.read().set.defs().cloned().collect()
+        self.indexes.read().defs().cloned().collect()
     }
 
     /// Coerce and validate a row against the schema, then append it.
     pub fn insert_row(&mut self, row: Row) -> Result<()> {
         let coerced = self.check_row(row)?;
         let rows = Arc::make_mut(self.rows.get_mut());
-        let st = self.indexes.get_mut();
-        if !st.set.is_empty() {
-            if st.dirty {
-                Arc::make_mut(&mut st.set).rebuild(rows);
-                st.dirty = false;
-            }
-            let set = Arc::make_mut(&mut st.set);
+        let indexes = self.indexes.get_mut();
+        if !indexes.is_empty() {
+            let set = Arc::make_mut(indexes);
             set.check_append(std::slice::from_ref(&coerced))?;
             set.append(rows.len(), std::slice::from_ref(&coerced));
         }
@@ -425,41 +378,13 @@ impl std::ops::Deref for RowsReadGuard<'_> {
     }
 }
 
-/// Write guard over a table's rows. `DerefMut` unshares the copy-on-write
-/// vector on first use (`Arc::make_mut` is a refcount check when unique).
-/// Republishes the table's version on drop, while still holding the row
-/// lock, so snapshot readers always pin a whole direct write or none of it.
-pub struct RowsWriteGuard<'a> {
-    table: &'a Table,
-    guard: RwLockWriteGuard<'a, Arc<Vec<Row>>>,
-}
-
-impl std::ops::Deref for RowsWriteGuard<'_> {
-    type Target = Vec<Row>;
-    fn deref(&self) -> &Vec<Row> {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for RowsWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Vec<Row> {
-        Arc::make_mut(&mut self.guard)
-    }
-}
-
-impl Drop for RowsWriteGuard<'_> {
-    fn drop(&mut self) {
-        self.table.publish_version(Arc::clone(&self.guard));
-    }
-}
-
 /// An exclusive, index-maintaining write handle over one table. Holds both
 /// the row and index locks for the duration of a statement's mutation so
 /// matched row positions cannot go stale between matching and applying.
 pub struct TableWrite<'a> {
     table: &'a Table,
     rows: RwLockWriteGuard<'a, Arc<Vec<Row>>>,
-    indexes: RwLockWriteGuard<'a, IndexState>,
+    indexes: RwLockWriteGuard<'a, Arc<IndexSet>>,
 }
 
 impl TableWrite<'_> {
@@ -468,16 +393,16 @@ impl TableWrite<'_> {
         &self.rows
     }
 
-    /// The clean, built index set (probe phase for UPDATE/DELETE).
+    /// The built index set (probe phase for UPDATE/DELETE).
     pub fn index_set(&self) -> &IndexSet {
-        &self.indexes.set
+        &self.indexes
     }
 
     /// Append pre-validated rows; unique indexes are checked before any
     /// row lands (statement atomicity).
     pub fn append(&mut self, new_rows: &[Row]) -> Result<()> {
-        if !self.indexes.set.is_empty() {
-            let set = Arc::make_mut(&mut self.indexes.set);
+        if !self.indexes.is_empty() {
+            let set = Arc::make_mut(&mut self.indexes);
             set.check_append(new_rows)?;
             set.append(self.rows.len(), new_rows);
         }
@@ -488,11 +413,11 @@ impl TableWrite<'_> {
     /// Replace the rows at the given positions; unique indexes are checked
     /// before any row changes.
     pub fn apply_updates(&mut self, updates: &[(usize, Row)]) -> Result<()> {
-        if !self.indexes.set.is_empty() {
+        if !self.indexes.is_empty() {
             let rows: &Vec<Row> = &self.rows;
-            self.indexes.set.check_updates(rows, updates)?;
+            self.indexes.check_updates(rows, updates)?;
             let old: Vec<Row> = updates.iter().map(|(p, _)| rows[*p].clone()).collect();
-            Arc::make_mut(&mut self.indexes.set).apply_updates(&old, updates);
+            Arc::make_mut(&mut self.indexes).apply_updates(&old, updates);
         }
         let rows = Arc::make_mut(&mut self.rows);
         for (pos, new_row) in updates {
@@ -509,16 +434,16 @@ impl TableWrite<'_> {
         for pos in positions.iter().rev() {
             rows.remove(*pos);
         }
-        if !self.indexes.set.is_empty() {
-            Arc::make_mut(&mut self.indexes.set).rebuild(rows);
+        if !self.indexes.is_empty() {
+            Arc::make_mut(&mut self.indexes).rebuild(rows);
         }
     }
 
     /// Remove every row (TRUNCATE); index definitions survive.
     pub fn truncate(&mut self) {
         Arc::make_mut(&mut self.rows).clear();
-        if !self.indexes.set.is_empty() {
-            Arc::make_mut(&mut self.indexes.set).clear();
+        if !self.indexes.is_empty() {
+            Arc::make_mut(&mut self.indexes).clear();
         }
     }
 
@@ -655,7 +580,7 @@ mod tests {
             .unwrap();
         let c = t.clone();
         assert_eq!(c, t);
-        t.rows_mut().clear();
+        t.write().truncate();
         assert_eq!(c.row_count(), 1);
         assert_ne!(c, t);
     }
@@ -698,21 +623,6 @@ mod tests {
         assert_eq!(probe(&w, "HP"), Vec::<usize>::new());
         drop(w);
         assert_eq!(t.index_defs().len(), 1, "definitions survive truncate");
-    }
-
-    #[test]
-    fn rows_mut_marks_dirty_and_probe_rebuilds() {
-        let t = Table::from_defs("stock", &defs()).unwrap();
-        t.create_index(ix("i_sym", "symbol", false, IndexKind::Hash))
-            .unwrap();
-        t.rows_mut()
-            .push(vec![Value::Str("IBM".into()), Value::Null]);
-        let set = t.index_set();
-        let hits = set
-            .best_for(0, false)
-            .unwrap()
-            .probe_eq(&IndexKey::Str("IBM".into()));
-        assert_eq!(hits, &[0], "lazy rebuild caught the foreign insert");
     }
 
     #[test]
@@ -766,42 +676,5 @@ mod tests {
         t.publish();
         assert_eq!(pin.row_count(), 1);
         assert_eq!(t.pinned().row_count(), 2);
-    }
-
-    #[test]
-    fn rows_mut_republishes_on_drop() {
-        let t = Table::from_defs("stock", &defs()).unwrap();
-        t.rows_mut()
-            .push(vec![Value::Str("IBM".into()), Value::Null]);
-        assert_eq!(
-            t.pinned().row_count(),
-            1,
-            "direct writes republish when the guard drops"
-        );
-    }
-
-    #[test]
-    fn pinned_rebuilds_dirty_index_over_pinned_rows() {
-        let t = Table::from_defs("stock", &defs()).unwrap();
-        t.create_index(ix("i_sym", "symbol", false, IndexKind::Hash))
-            .unwrap();
-        t.rows_mut()
-            .push(vec![Value::Str("IBM".into()), Value::Null]);
-        let pin = t.pinned();
-        // Mutate + republish the live table; the pin's lazy index rebuild
-        // must use the pinned rows, not the new live ones.
-        t.rows_mut()
-            .push(vec![Value::Str("SUN".into()), Value::Null]);
-        let set = pin.index_set();
-        let hits = set
-            .best_for(0, false)
-            .unwrap()
-            .probe_eq(&IndexKey::Str("IBM".into()));
-        assert_eq!(hits, &[0]);
-        assert!(set
-            .best_for(0, false)
-            .unwrap()
-            .probe_eq(&IndexKey::Str("SUN".into()))
-            .is_empty());
     }
 }
